@@ -601,3 +601,59 @@ func BenchmarkClusterRunSteadyMetrics(b *testing.B) {
 		run()
 	}
 }
+
+// BenchmarkClusterRunBlocked measures the job-blocking regime the paper is
+// about: the rewind loop of BenchmarkClusterRunSteady on SPEC-Trace-5 at
+// the paper grid's 100 ms quantum, with the warmup snapshot taken halfway
+// through the trace, where 413 submissions are blocked (seed 42). Each
+// control period in the 10 s window retries every one of them through
+// Place, so the loop times the blocked-retry path. Transfer and placement
+// closures still allocate a little, so it is deliberately not a
+// BenchmarkClusterRunSteady* variant (scripts/bench.sh requires those to
+// be allocation-free).
+func BenchmarkClusterRunBlocked(b *testing.B) {
+	const window = 10 * time.Second
+	tr, err := trace.Standard(workload.Group1, 5, experiments.DefaultSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	warmup := tr.Duration() / 2
+	sched, err := core.NewVReconfiguration(core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := cluster.Cluster1()
+	cfg.Quantum = benchQuantum
+	c, err := cluster.New(cfg, sched)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := c.Start(tr); err != nil {
+		b.Fatal(err)
+	}
+	if err := c.RunToDivergence(warmup); err != nil {
+		b.Fatal(err)
+	}
+	if c.PendingCount() < 100 {
+		b.Fatalf("only %d submissions blocked at the snapshot", c.PendingCount())
+	}
+	snap, err := c.Snapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func() {
+		b.Helper()
+		if err := c.Restore(snap); err != nil {
+			b.Fatal(err)
+		}
+		if err := c.RunToDivergence(warmup + window); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run() // prime: retry buffers and event arena reach capacity
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}

@@ -10,8 +10,14 @@
 // With -baseline PREV.json and -gate Bench=maxpct it also acts as a CI
 // regression gate: after writing the snapshot it compares each gated
 // benchmark's min ns/op against the baseline snapshot and exits 3 when the
-// regression exceeds the budget. Benchmarks missing from either side are
-// warned about and skipped, never failed.
+// regression exceeds the budget. A gated benchmark missing from either
+// side fails the gate too: a gate that cannot run must not pass.
+//
+// Benchmarks are keyed by name without the "-N" GOMAXPROCS suffix go test
+// appends on multi-core machines (as benchstat does), so snapshots taken
+// at different core counts still line up; the GOMAXPROCS value itself is
+// recorded in the env header. Input mixing several GOMAXPROCS values
+// (go test -cpu lists) is rejected rather than merged.
 package main
 
 import (
@@ -89,10 +95,28 @@ type snapshot struct {
 	Scaling     []scalingFit `json:"scaling,omitempty"`
 }
 
-// parse reads go-test bench output, returning header lines, parsed
-// benchmarks in first-seen order, and the raw result lines.
+// splitProcs splits a result-line benchmark name into its key (the name
+// without the "-N" GOMAXPROCS suffix go test appends when GOMAXPROCS is
+// not 1) and the GOMAXPROCS value (1 when absent).
+func splitProcs(name string) (string, int) {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 {
+		return name, 1
+	}
+	procs, err := strconv.Atoi(name[i+1:])
+	if err != nil || procs <= 0 {
+		return name, 1
+	}
+	return name[:i], procs
+}
+
+// parse reads go-test bench output, returning header lines (plus a
+// "gomaxprocs: N" line when any result was parsed), parsed benchmarks in
+// first-seen order keyed without their GOMAXPROCS suffix, and the raw
+// result lines.
 func parse(r io.Reader) (env []string, benches []bench, raw []string, err error) {
 	byName := map[string]int{}
+	procs := 0
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -121,8 +145,12 @@ func parse(r io.Reader) (env []string, benches []bench, raw []string, err error)
 			}
 			rn.Metrics[fields[i+1]] = v
 		}
+		name, p := splitProcs(fields[0])
+		if procs != 0 && p != procs {
+			return nil, nil, nil, fmt.Errorf("%s ran at GOMAXPROCS %d, earlier results at %d: one snapshot holds one GOMAXPROCS", fields[0], p, procs)
+		}
+		procs = p
 		raw = append(raw, line)
-		name := fields[0]
 		idx, ok := byName[name]
 		if !ok {
 			idx = len(benches)
@@ -130,6 +158,9 @@ func parse(r io.Reader) (env []string, benches []bench, raw []string, err error)
 			benches = append(benches, bench{Name: name})
 		}
 		benches[idx].Runs = append(benches[idx].Runs, rn)
+	}
+	if procs != 0 {
+		env = append(env, fmt.Sprintf("gomaxprocs: %d", procs))
 	}
 	return env, benches, raw, sc.Err()
 }
@@ -178,13 +209,16 @@ func parseGates(s string) ([]gateSpec, error) {
 }
 
 // checkGates compares min ns/op of each gated benchmark against the
-// baseline snapshot, returning the failures. Benchmarks absent from either
-// side are warned about and skipped — a gate should catch regressions, not
-// break when a bench pattern changes.
+// baseline snapshot, returning the failures. A benchmark absent from
+// either side is a failure, not a skip: a gate that silently stops
+// running is worse than none. Baseline names are keyed without their
+// GOMAXPROCS suffix, so snapshots recorded before the suffix was stripped
+// still match.
 func checkGates(gates []gateSpec, baseline *snapshot, benches []bench) []string {
 	baseBy := map[string]bench{}
 	for _, b := range baseline.Benchmarks {
-		baseBy[b.Name] = b
+		name, _ := splitProcs(b.Name)
+		baseBy[name] = b
 	}
 	newBy := map[string]bench{}
 	for _, b := range benches {
@@ -194,9 +228,12 @@ func checkGates(gates []gateSpec, baseline *snapshot, benches []bench) []string 
 	for _, g := range gates {
 		oldNs, ok1 := minMetric(baseBy[g.Name], "ns/op")
 		newNs, ok2 := minMetric(newBy[g.Name], "ns/op")
-		if !ok1 || !ok2 || oldNs == 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: gate %s skipped: benchmark missing from %s snapshot\n",
-				g.Name, map[bool]string{true: "current", false: "baseline"}[ok1])
+		if !ok1 || oldNs == 0 {
+			failures = append(failures, fmt.Sprintf("%s missing from the baseline snapshot", g.Name))
+			continue
+		}
+		if !ok2 {
+			failures = append(failures, fmt.Sprintf("%s missing from the current run", g.Name))
 			continue
 		}
 		deltaPct := 100 * (newNs - oldNs) / oldNs
@@ -209,6 +246,36 @@ func checkGates(gates []gateSpec, baseline *snapshot, benches []bench) []string 
 		}
 	}
 	return failures
+}
+
+// buildPairs resolves "-pair Base=Variant,..." against one snapshot's
+// benchmarks. A pair with either side missing from this run's pattern is
+// left out.
+func buildPairs(spec string, benches []bench) ([]pair, error) {
+	byName := map[string]bench{}
+	for _, b := range benches {
+		byName[b.Name] = b
+	}
+	var out []pair
+	for _, entry := range strings.Split(spec, ",") {
+		base, variant, ok := strings.Cut(entry, "=")
+		if !ok {
+			return nil, fmt.Errorf("-pair entry %q is not Base=Variant", entry)
+		}
+		baseNs, ok1 := meanMetric(byName[base], "ns/op")
+		varNs, ok2 := meanMetric(byName[variant], "ns/op")
+		if !ok1 || !ok2 || baseNs == 0 {
+			continue
+		}
+		out = append(out, pair{
+			Base:        base,
+			Variant:     variant,
+			BaseNsOp:    baseNs,
+			VariantNsOp: varNs,
+			OverheadPct: 100 * (varNs - baseNs) / baseNs,
+		})
+	}
+	return out, nil
 }
 
 // meanMetric averages one metric over a benchmark's runs; ok is false when
@@ -317,28 +384,9 @@ func main() {
 	snap.Scaling = fitScaling(benches)
 
 	if *pairsArg != "" {
-		byName := map[string]bench{}
-		for _, b := range benches {
-			byName[b.Name] = b
-		}
-		for _, spec := range strings.Split(*pairsArg, ",") {
-			base, variant, ok := strings.Cut(spec, "=")
-			if !ok {
-				fmt.Fprintf(os.Stderr, "benchjson: -pair entry %q is not Base=Variant\n", spec)
-				os.Exit(1)
-			}
-			baseNs, ok1 := meanMetric(byName[base], "ns/op")
-			varNs, ok2 := meanMetric(byName[variant], "ns/op")
-			if !ok1 || !ok2 || baseNs == 0 {
-				continue // one side missing from this run's pattern
-			}
-			snap.Pairs = append(snap.Pairs, pair{
-				Base:        base,
-				Variant:     variant,
-				BaseNsOp:    baseNs,
-				VariantNsOp: varNs,
-				OverheadPct: 100 * (varNs - baseNs) / baseNs,
-			})
+		if snap.Pairs, err = buildPairs(*pairsArg, benches); err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
 		}
 	}
 

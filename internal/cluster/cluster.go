@@ -232,6 +232,7 @@ type Cluster struct {
 	col    *metrics.Collector
 
 	pending     []pendingSubmission
+	pendingNext []pendingSubmission // retryPending's spare buffer; never aliases pending
 	stranded    []strandedMigration
 	outstanding int
 	timedOut    bool
@@ -1459,12 +1460,18 @@ func (c *Cluster) degradePending(now time.Duration) {
 	c.pending = remaining
 }
 
+// retryPending re-offers every blocked submission to the policy in FIFO
+// order. The queue is double-buffered: the pass drains one backing array
+// while still-blocked entries (and any block place() queues mid-pass) are
+// appended to the other, and the two swap roles each pass, so a steady
+// retry costs no allocation. The buffers must never share a backing
+// array — place() appends to c.pending while the loop still reads queue.
 func (c *Cluster) retryPending() {
 	if len(c.pending) == 0 {
 		return
 	}
 	queue := c.pending
-	c.pending = nil
+	c.pending = c.pendingNext[:0]
 	for i, p := range queue {
 		target, remote, ok := c.sched.Place(c, p.j, p.home)
 		if !ok {
@@ -1474,4 +1481,5 @@ func (c *Cluster) retryPending() {
 		}
 		c.place(p.j, p.home, target, remote)
 	}
+	c.pendingNext = queue[:0]
 }

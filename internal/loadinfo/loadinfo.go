@@ -113,6 +113,12 @@ type Board struct {
 	sumIdleUnreserved float64
 	sumUserMB         float64
 
+	// gen advances on every mutation that can change an entry's
+	// selection-relevant fields or the cached sums (everywhere sumsDirty
+	// is set) and on Restore; it never rewinds, so (board, generation)
+	// names one board content for the board's whole lifetime.
+	gen uint64
+
 	dirtyParts []uint64 // scratch bitmask of partitions touched by a refresh
 	popped     []int32  // scratch for partitions popped during one query
 
@@ -200,6 +206,7 @@ func (b *Board) RefreshWith(now time.Duration, nodes []*node.Node, drop func(id 
 	if len(nodes) != b.n {
 		return fmt.Errorf("loadinfo: %d nodes, board sized for %d", len(nodes), b.n)
 	}
+	anyChanged := false
 	for i, n := range nodes {
 		if drop != nil && drop(n.ID()) {
 			continue
@@ -226,7 +233,11 @@ func (b *Board) RefreshWith(now time.Duration, nodes []*node.Node, drop func(id 
 			p := i / PartitionSize
 			b.dirtyParts[p>>6] |= 1 << uint(p&63)
 			b.sumsDirty = true
+			anyChanged = true
 		}
+	}
+	if anyChanged {
+		b.gen++
 	}
 	for wi, w := range b.dirtyParts {
 		for w != 0 {
@@ -276,6 +287,7 @@ func (b *Board) Publish(i int, e Entry) error {
 	b.cacheAvail[i] = e.CacheAvailability
 	b.updatedAt[i] = e.UpdatedAt
 	b.sumsDirty = true
+	b.gen++
 	b.recomputePartition(int32(i / PartitionSize))
 	return nil
 }
@@ -332,6 +344,7 @@ func (b *Board) Retire(id int) error {
 	b.flags[id] &^= flagHasSlot
 	b.live--
 	b.sumsDirty = true
+	b.gen++
 	b.recomputePartition(int32(id / PartitionSize))
 	return nil
 }
@@ -389,6 +402,30 @@ func (b *Board) Entry(id int) (Entry, error) {
 	}
 	return b.entryAt(id), nil
 }
+
+// Admits reports whether node id could take a submission needing needMB
+// of idle memory: unreserved, with a free slot, unpressured, and at least
+// needMB idle. It is the Entry-based admission test read straight from the
+// flag and idle arrays, without assembling an Entry; an out-of-range id
+// gives false. Down, draining and retired nodes are not excluded — that is
+// the destination filter's job (BestDestination), which is strictly
+// narrower.
+func (b *Board) Admits(id int, needMB float64) bool {
+	if id < 0 || id >= b.n {
+		return false
+	}
+	fl := b.flags[id]
+	return fl&(flagReserved|flagPressured) == 0 && fl&flagHasSlot != 0 && b.idleMB[id] >= needMB
+}
+
+// Generation identifies the board's current content: it advances on every
+// mutation that can change an admission or selection answer or a
+// cluster-wide sum (a RefreshWith that changed an entry, Publish, AddNode,
+// Retire, NotePlacement) and on Restore, and it never rewinds. Two reads
+// of the same board at the same generation therefore see the same
+// Admits, BestDestination and MeanUserMB answers, so callers may memoize
+// them keyed on (board, generation).
+func (b *Board) Generation() uint64 { return b.gen }
 
 // Entries returns a copy of all snapshots.
 func (b *Board) Entries() []Entry {
@@ -487,6 +524,7 @@ func (b *Board) NotePlacement(id int, demandMB float64) error {
 		b.flags[id] &^= flagHasSlot
 	}
 	b.sumsDirty = true
+	b.gen++
 	b.recomputePartition(int32(id / PartitionSize))
 	return nil
 }

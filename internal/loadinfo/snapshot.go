@@ -89,8 +89,11 @@ func (b *Board) Snapshot() *Snapshot {
 // Restore rewinds the board to a prior Snapshot, reusing live capacity.
 // Nodes and partitions added after the snapshot vanish (the trailing
 // storage is truncated by the copy); retired tombstones revert with
-// everything else.
+// everything else. The generation is the one field that does not rewind:
+// it advances past every value it has held, so an answer memoized before
+// the restore can never be mistaken for one about the restored content.
 func (b *Board) Restore(s *Snapshot) {
+	b.gen++
 	b.n = s.n
 	b.live = s.live
 

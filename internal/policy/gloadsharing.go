@@ -22,6 +22,7 @@ import (
 
 	"vrcluster/internal/cluster"
 	"vrcluster/internal/job"
+	"vrcluster/internal/loadinfo"
 	"vrcluster/internal/node"
 )
 
@@ -63,6 +64,7 @@ type GLoadSharing struct {
 
 	name          string
 	lastMigration map[int]time.Duration // per-node cooldown bookkeeping
+	memo          placeMemo
 }
 
 var _ cluster.Scheduler = (*GLoadSharing)(nil)
@@ -113,21 +115,55 @@ func (g *GLoadSharing) SetName(name string) { g.name = name }
 // the CPU threshold. The home workstation is preferred; otherwise the job
 // is remotely submitted to the best qualified node; otherwise the
 // submission blocks.
+//
+// Blocked submissions are retried every control period, and almost every
+// retry fails, so Place memoizes what it can per board generation (see
+// placeMemo). The home test itself runs on every call: a down or draining
+// home passes it without qualifying as a destination.
 func (g *GLoadSharing) Place(c *cluster.Cluster, j *job.Job, home int) (int, bool, bool) {
 	board := c.Board()
-	// Memory demands are unknown before jobs start running ([3]); the
-	// only admission signal is whether the workstation has idle memory
-	// space, read as at least the floor fraction of user memory.
-	need := g.AdmitFloorFrac * board.MeanUserMB()
-	if he, err := board.Entry(home); err == nil {
-		if !he.Reserved && he.HasSlot && !he.Pressured && he.IdleMB >= need {
-			return home, false, true
+	m := &g.memo
+	if gen := board.Generation(); board != m.board || gen != m.gen || g.AdmitFloorFrac != m.frac {
+		// Memory demands are unknown before jobs start running ([3]);
+		// the only admission signal is whether the workstation has idle
+		// memory space, read as at least the floor fraction of user
+		// memory.
+		need := g.AdmitFloorFrac * board.MeanUserMB()
+		if board != m.board || gen != m.gen || need != m.need {
+			m.noDest = false
 		}
+		m.board, m.gen, m.frac, m.need = board, gen, g.AdmitFloorFrac, need
 	}
-	if id, ok := board.BestDestinationExcluding(need, home); ok {
+	if board.Admits(home, m.need) {
+		return home, false, true
+	}
+	if m.noDest {
+		return -1, false, false
+	}
+	if id, ok := board.BestDestinationExcluding(m.need, home); ok {
 		return id, true, true
 	}
+	m.noDest = true
 	return -1, false, false
+}
+
+// placeMemo caches Place's board-derived inputs for one (board,
+// generation) pair: the admission need for one AdmitFloorFrac, and whether
+// no node passes the destination filter for that need. The verdict is
+// sound because the destination filter (BestDestination: unreserved, up,
+// not draining or retired, unpressured, free slot, idle ≥ need) is a
+// subset of the home test (Admits). A failed Place proves the home fails
+// the home test, hence the destination filter, and the search excluding
+// the home found nothing — so no node passes the filter. The cluster
+// publishes every node under its own index, so the excluded node ID is
+// exactly the home slot. Any board mutation advances the generation and
+// drops the verdict.
+type placeMemo struct {
+	board  *loadinfo.Board
+	gen    uint64
+	frac   float64
+	need   float64
+	noDest bool
 }
 
 // OnControl migrates jobs away from pressured workstations: whenever page

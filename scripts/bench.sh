@@ -5,20 +5,26 @@
 # trajectory is tracked PR over PR.
 #
 # Usage: scripts/bench.sh [-out FILE] [-old FILE] [-pattern REGEX]
-#   -out FILE      snapshot to write (default BENCH_9.json)
+#   -out FILE      snapshot to write (default BENCH_<n+1>.json, where
+#                  BENCH_<n>.json is the highest-numbered snapshot)
 #   -old FILE      previous raw bench text to compare against; the JSON
 #                  then includes per-benchmark speedups
 #   -pattern RE    benchmarks to run (default: all)
 # Environment: COUNT (default 5), BENCHTIME (default 1x).
 #
-# When the previous snapshot (BENCH_8.json) is present, benchjson also
-# gates BenchmarkClusterRun against it: a >2% min-ns/op regression on the
-# untraced hot path fails the run with exit 3 (the telemetry layer must
-# stay a nil check when disabled).
+# The highest-numbered BENCH_<n>.json other than the output is the
+# baseline: when the run includes BenchmarkClusterRun, benchjson gates it
+# against that snapshot, and a >2% min-ns/op regression on the untraced
+# hot path fails the run with exit 3 (the telemetry layer must stay a nil
+# check when disabled). Compare snapshots recorded on the same machine
+# only; a baseline from other hardware makes the gate meaningless.
 set -eu
 cd "$(dirname "$0")/.."
 
-OUT=BENCH_9.json
+# Snapshot numbers present, highest first.
+snapshots=$(ls BENCH_*.json 2>/dev/null | sed -n 's/^BENCH_\([0-9][0-9]*\)\.json$/\1/p' | sort -rn)
+latest=$(echo "$snapshots" | head -n 1)
+OUT=BENCH_$((${latest:-0} + 1)).json
 OLD=
 PATTERN=.
 while [ $# -gt 0 ]; do
@@ -57,12 +63,23 @@ fi
 label=$(git rev-parse --short HEAD 2>/dev/null || echo dev)
 PAIR=BenchmarkClusterRun=BenchmarkClusterRunTraced,BenchmarkSeedGridFresh=BenchmarkSeedGridFork,BenchmarkClusterRunPressuredDense=BenchmarkClusterRunPressured
 
-# Regression gate vs the previous snapshot, when it exists. benchjson
-# skips the gate with a warning if the benchmark pattern excluded
-# BenchmarkClusterRun from this run.
+# Regression gate vs the previous snapshot. A gated benchmark missing
+# from either side fails benchjson, so the gate is only requested when
+# this run's pattern included BenchmarkClusterRun, and says so otherwise.
+BASELINE=
+for n in $snapshots; do
+    if [ "BENCH_$n.json" != "$OUT" ]; then
+        BASELINE=BENCH_$n.json
+        break
+    fi
+done
 GATEARGS=
-if [ -f BENCH_8.json ] && [ "$OUT" != BENCH_8.json ]; then
-    GATEARGS="-baseline BENCH_8.json -gate BenchmarkClusterRun=2"
+if [ -z "$BASELINE" ]; then
+    echo "bench.sh: no baseline snapshot; regression gate not applied" >&2
+elif grep -qE '^BenchmarkClusterRun(-[0-9]+)?[[:space:]]' "$raw"; then
+    GATEARGS="-baseline $BASELINE -gate BenchmarkClusterRun=2"
+else
+    echo "bench.sh: BenchmarkClusterRun not in this run; regression gate vs $BASELINE not applied" >&2
 fi
 
 if [ -n "$OLD" ]; then
