@@ -8,6 +8,7 @@
 package vrcluster_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"vrcluster/internal/cluster"
 	"vrcluster/internal/core"
 	"vrcluster/internal/experiments"
+	"vrcluster/internal/job"
 	"vrcluster/internal/memory"
 	"vrcluster/internal/metrics"
 	"vrcluster/internal/node"
@@ -236,33 +238,61 @@ func BenchmarkEngineScheduleCancel(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkNodeTick measures the quantum-advance hot path with a
-// multiprogrammed, memory-pressured workstation.
-func BenchmarkNodeTick(b *testing.B) {
-	n, err := node.New(node.Config{
-		CPUSpeedMHz:  400,
-		CPUThreshold: 8,
-		Memory:       memory.Config{CapacityMB: 384},
-	})
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkNodeAdvance measures the quantum kernel per regime on a
+// four-job workstation: flat (every stretch folds by integer multiply),
+// ramp (unpressured, every quantum refreshes demand), and pressured (every
+// refresh moves the paging stall). k=1 is the per-quantum path the cluster
+// takes next to an engine event; k=64 is a batched stretch. Jobs are long
+// enough that no benchmark run completes one, so each regime holds
+// throughout, and every variant must run at 0 allocs/op.
+func BenchmarkNodeAdvance(b *testing.B) {
+	regimes := []struct {
+		name       string
+		start, end float64 // MB per job across its whole life
+	}{
+		{"flat", 50, 50},
+		{"ramp", 20, 80},
+		{"pressured", 100, 110},
 	}
-	for i := 0; i < 4; i++ {
-		j, err := workload.Programs(workload.Group1)[i%6].NewJob(i, 0, nil, workload.Jitter{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := n.Admit(j, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	dt := 10 * time.Millisecond
-	now := time.Duration(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now += dt
-		if _, err := n.Tick(dt, now); err != nil {
-			b.Fatal(err)
+	for _, r := range regimes {
+		for _, k := range []int64{1, 64} {
+			b.Run(fmt.Sprintf("%s/k=%d", r.name, k), func(b *testing.B) {
+				n, err := node.New(node.Config{
+					CPUSpeedMHz:  400,
+					CPUThreshold: 8,
+					Memory:       memory.Config{CapacityMB: 384},
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for i := 0; i < 4; i++ {
+					j, err := job.New(i, "bench", 100000*time.Hour,
+						[]job.Phase{{EndFrac: 1, StartMB: r.start, EndMB: r.end}}, 0)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := n.Admit(j, 0); err != nil {
+						b.Fatal(err)
+					}
+				}
+				dt := 10 * time.Millisecond
+				now := dt
+				advance := func() {
+					if _, err := n.Advance(dt, now, k); err != nil {
+						b.Fatal(err)
+					}
+					now += time.Duration(k) * dt
+				}
+				advance() // size the kernel's scratch
+				if n.Pressured() != (r.name == "pressured") {
+					b.Fatalf("%s: node pressured = %v", r.name, n.Pressured())
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					advance()
+				}
+			})
 		}
 	}
 }
@@ -473,7 +503,7 @@ func benchPressuredTrace(b *testing.B) *trace.Trace {
 
 // benchClusterRunPressured runs the saturated trace under the full
 // V-Reconfiguration stack; dense forces quantum-by-quantum ticking so the
-// pair isolates the stall-replay fold's gain (DESIGN.md §12).
+// pair isolates the gain of batching pressured stretches (DESIGN.md §11).
 func benchClusterRunPressured(b *testing.B, dense bool) {
 	tr := benchPressuredTrace(b)
 	b.ResetTimer()
@@ -496,8 +526,8 @@ func benchClusterRunPressured(b *testing.B, dense bool) {
 }
 
 // BenchmarkClusterRunPressured measures a pressure-heavy trace execution
-// with the batched quantum clock, including the pressured stall-replay
-// fold. BENCH_8.json pairs it with the forced-dense variant below.
+// with the batched quantum clock, including pressured stretches.
+// BENCH_8.json pairs it with the forced-dense variant below.
 func BenchmarkClusterRunPressured(b *testing.B) { benchClusterRunPressured(b, false) }
 
 // BenchmarkClusterRunPressuredDense is the same execution with batching
@@ -507,9 +537,9 @@ func BenchmarkClusterRunPressuredDense(b *testing.B) { benchClusterRunPressured(
 // BenchmarkClusterRunSteadyPressured is the steady-state rewind loop of
 // BenchmarkClusterRunSteady on the saturated trace, with the warmup
 // snapshot taken at the residency peak so the re-simulated window runs
-// through TickPressuredBatch. The same zero-alloc contract applies:
+// the kernel's pressured regime. The same zero-alloc contract applies:
 // scripts/bench.sh fails the snapshot if allocs/op is nonzero, pinning
-// the plan cache and fold buffers to their steady-state capacity.
+// the kernel's scratch to its steady-state capacity.
 func BenchmarkClusterRunSteadyPressured(b *testing.B) {
 	const warmup = 4 * time.Minute
 	const window = time.Second
@@ -543,7 +573,7 @@ func BenchmarkClusterRunSteadyPressured(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	run() // prime: fold buffers and plan cache reach steady-state capacity
+	run() // prime: kernel scratch reaches steady-state capacity
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -218,11 +218,9 @@ func (j *Job) DemandHorizon() (demandMB float64, horizon time.Duration) {
 	return j.DemandHorizonAt(j.cpuDone)
 }
 
-// DemandHorizonAt evaluates DemandHorizon as if the job had accumulated the
-// given CPU service, without mutating the job. Nodes use it to replay a
-// ramping job's future demand refreshes when batching quanta; the
-// arithmetic is identical to DemandHorizon's, so the replayed values are
-// bit-equal to what sequential ticks would have produced.
+// DemandHorizonAt evaluates DemandHorizon, with the same arithmetic, as if
+// the job had accumulated the given CPU service, without mutating the job:
+// a node's quantum kernel replays a stretch of service this way.
 func (j *Job) DemandHorizonAt(service time.Duration) (demandMB float64, horizon time.Duration) {
 	frac := j.ProgressAt(service)
 	if frac <= 0 || j.CPUDemand <= 0 || len(j.Phases) == 0 {
@@ -436,9 +434,10 @@ func (j *Job) AddFrozenQueue(d time.Duration) error {
 	return nil
 }
 
-// Account charges one scheduling quantum's worth of service to the job:
-// cpu of CPU progress, page of page-fault stall, and queue of time spent
-// runnable but not executing. It reports whether the job completed.
+// Account charges service to the job: cpu of CPU progress, page of
+// page-fault stall, and queue of time spent runnable but not executing —
+// one quantum's worth, or the exact integer sums of a stretch of quanta.
+// It reports whether the job completed, stamping the completion at now.
 func (j *Job) Account(cpu, page, queue time.Duration, now time.Duration) (done bool, err error) {
 	if j.state != StateRunning {
 		return false, fmt.Errorf("job %d: account in state %v", j.ID, j.state)
@@ -457,54 +456,6 @@ func (j *Job) Account(cpu, page, queue time.Duration, now time.Duration) (done b
 		return true, nil
 	}
 	return false, nil
-}
-
-// AccountBatch charges k identical scheduling quanta in one step — the
-// closed form of k sequential Account calls with the same arguments, exact
-// because every accumulation is an integer sum. It must not cross the
-// completion boundary: the caller guarantees k*cpu leaves demand
-// outstanding (a quantum that completes the job needs Account's clamping
-// and completion handling).
-func (j *Job) AccountBatch(cpu, page, queue time.Duration, k int64) error {
-	if j.state != StateRunning {
-		return fmt.Errorf("job %d: account in state %v", j.ID, j.state)
-	}
-	if cpu < 0 || page < 0 || queue < 0 || k <= 0 {
-		return fmt.Errorf("job %d: bad batched accounting (%v, %v, %v) x %d", j.ID, cpu, page, queue, k)
-	}
-	kc := cpu * time.Duration(k)
-	if j.cpuDone+kc >= j.CPUDemand {
-		return fmt.Errorf("job %d: batched quanta cross the completion boundary", j.ID)
-	}
-	j.cpuDone += kc
-	j.acct.CPU += kc
-	j.acct.Page += page * time.Duration(k)
-	j.acct.Queue += queue * time.Duration(k)
-	return nil
-}
-
-// AccountFold charges the exact integer sums of a stretch of scheduling
-// quanta whose per-tick arguments varied (the pressured stall replay, where
-// each quantum's cpu depends on that tick's paging stall) — the fold of the
-// corresponding sequential Account calls, exact because every accumulation
-// is an integer sum. It must not cross the completion boundary: the
-// caller's replay guarantees every constituent quantum left demand
-// outstanding.
-func (j *Job) AccountFold(cpu, page, queue time.Duration) error {
-	if j.state != StateRunning {
-		return fmt.Errorf("job %d: account in state %v", j.ID, j.state)
-	}
-	if cpu < 0 || page < 0 || queue < 0 {
-		return fmt.Errorf("job %d: negative folded accounting (%v, %v, %v)", j.ID, cpu, page, queue)
-	}
-	if j.cpuDone+cpu >= j.CPUDemand {
-		return fmt.Errorf("job %d: folded quanta cross the completion boundary", j.ID)
-	}
-	j.cpuDone += cpu
-	j.acct.CPU += cpu
-	j.acct.Page += page
-	j.acct.Queue += queue
-	return nil
 }
 
 // Breakdown returns the accumulated time decomposition.

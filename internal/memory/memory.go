@@ -162,7 +162,7 @@ func (m *Manager) Update(jobID int, demandMB float64) error {
 
 // ReplayDemands installs per-job demand values together with the demand
 // total produced by an exact add-by-add replay of the sequential Updates
-// they stand in for (the node's batched-quantum fast path). The total is
+// they stand in for (the node's quantum kernel, via a Replay cursor). The total is
 // taken as given rather than recomputed from the demands: float addition
 // is non-associative, so only the caller's replayed accumulation matches
 // the value a sequence of Updates would have left behind.
@@ -212,7 +212,7 @@ func (m *Manager) IdleMB() float64 { return m.IdleAtMB(m.total) }
 // IdleAtMB reports the idle user memory a hypothetical demand total would
 // leave. The zero-argument accessors delegate to these *At forms so that a
 // replayed total runs through the very same arithmetic as dense ticking —
-// the foundation of the stall-replay plan's bit-identity guarantee.
+// the foundation of the quantum kernel's bit-identity guarantee.
 func (m *Manager) IdleAtMB(total float64) float64 {
 	idle := m.UserMB() - total
 	if idle < 0 {
@@ -276,9 +276,8 @@ func (m *Manager) StallPerCPUSecond() float64 {
 }
 
 // StallPerCPUSecondAt reports the stall a hypothetical demand total would
-// produce, via the identical arithmetic as StallPerCPUSecond. Sensitive to
-// the network-RAM override (SetRemoteBacking), which is why stall-replay
-// plans key on the remote service time.
+// produce, via the identical arithmetic as StallPerCPUSecond, including
+// the network-RAM override (SetRemoteBacking).
 func (m *Manager) StallPerCPUSecondAt(total float64) float64 {
 	return m.FaultRateAt(total) * m.faultService().Seconds()
 }
@@ -287,15 +286,16 @@ func (m *Manager) StallPerCPUSecondAt(total float64) float64 {
 // (the network-RAM override when set, else the disk service time).
 func (m *Manager) FaultServiceTime() time.Duration { return m.faultService() }
 
-// Replay is a deterministic stall-replay cursor. It walks the demand-total
-// trajectory a sequence of Update calls would produce — without mutating
-// the manager — and emits the exact per-quantum StallPerCPUSecond /
-// FaultRate / pressure sequence dense ticking would observe at each point.
-// Because the cursor evaluates through the same *At methods the
-// zero-argument accessors delegate to, and Step reproduces Update's
-// accumulate-then-clamp exactly, every float the replay yields is
-// bit-identical to the one dense ticking would have computed. Commit the
-// final per-job demands and total with ReplayDemands.
+// Replay is a deterministic demand-total cursor. It walks the trajectory a
+// sequence of Update and Remove calls would produce — without mutating the
+// manager — so the node's quantum kernel can read the exact stall, fault
+// rate, and pressure dense ticking would observe at each point. FaultRate
+// evaluates through the same *At method the zero-argument accessor
+// delegates to, and Step reproduces Update's accumulate-then-clamp, so
+// every float the cursor yields is bit-identical to the manager's. It is a
+// value: Step returns the moved cursor, which keeps it in registers on the
+// kernel's hot path. Commit the final per-job demands and total with
+// ReplayDemands.
 type Replay struct {
 	m     *Manager
 	total float64
@@ -305,26 +305,21 @@ type Replay struct {
 func (m *Manager) Replay() Replay { return Replay{m: m, total: m.total} }
 
 // Total reports the cursor's running demand total.
-func (r *Replay) Total() float64 { return r.total }
-
-// Pressured reports whether the cursor's total would be paging.
-func (r *Replay) Pressured() bool { return r.m.PressuredAt(r.total) }
+func (r Replay) Total() float64 { return r.total }
 
 // FaultRate reports the fault rate at the cursor's total.
-func (r *Replay) FaultRate() float64 { return r.m.FaultRateAt(r.total) }
-
-// Stall reports StallPerCPUSecond at the cursor's total.
-func (r *Replay) Stall() float64 { return r.m.StallPerCPUSecondAt(r.total) }
+func (r Replay) FaultRate() float64 { return r.m.FaultRateAt(r.total) }
 
 // Step applies one job's demand revision (oldMB -> newMB) with exactly
 // Update's accumulation: total += new - old, clamped at zero. Replayed
 // revisions must arrive in the same order the dense path would issue them;
 // float addition is non-associative.
-func (r *Replay) Step(oldMB, newMB float64) {
+func (r Replay) Step(oldMB, newMB float64) Replay {
 	r.total += newMB - oldMB
 	if r.total < 0 {
 		r.total = 0
 	}
+	return r
 }
 
 // SetRemoteBacking makes page faults hit remote idle memory over the

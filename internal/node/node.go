@@ -7,6 +7,7 @@ package node
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -104,19 +105,9 @@ type Node struct {
 	removed      bool         // retired from the cluster; permanently inert
 	reservedJobs map[int]bool // jobs admitted under reservation (special service)
 
-	// covered[i] records the virtual time up to which jobs[i]'s execution
-	// has been accounted, so jobs admitted mid-quantum are only credited
-	// for their actual residency. demand[i] caches jobs[i]'s memory
-	// demand as registered with the manager, so the per-tick refresh only
-	// touches the manager when a job's demand actually moves. Both slices
-	// track jobs index-for-index through admission and removal.
-	covered []time.Duration
-	demand  []float64
-
-	// flatUntil[i] is the CPU-service horizon from jobs[i].DemandHorizon:
-	// while the job's accumulated service stays at or below it, the demand
-	// refresh is skipped (the job is in a flat memory phase).
-	flatUntil []time.Duration
+	// lanes[i] is jobs[i]'s accounting state, kept index-for-index
+	// through admission and removal.
+	lanes []lane
 
 	// ioActive counts resident jobs with a nonzero I/O rate (rates are
 	// fixed before admission), keeping the per-tick cache-availability
@@ -147,105 +138,9 @@ type Node struct {
 	cpuDelivered time.Duration
 	ioStall      time.Duration // cumulative buffer-cache-miss stall
 
-	// Batched-quantum plan scratch, valid only between a PlanQuanta and
-	// the matching ApplyQuanta within one engine event. It is derived
-	// state that never survives an event boundary, so it is deliberately
-	// excluded from Snapshot/Restore.
-	planNow   time.Duration
-	planDt    time.Duration
-	planK     int64
-	planCPU   []time.Duration
-	planPage  []time.Duration
-	planQueue []time.Duration
-	planIO    []time.Duration
-
-	// Ramp-replay scratch for TickRampBatch, same lifetime and
-	// Snapshot/Restore exclusion as the plan scratch above.
-	rampDemand []float64
-	rampFlat   []time.Duration
-	rampIDs    []int
-
-	// pressPlans is a small ring of cached stall-replay plans for
-	// TickPressuredBatch. Unlike the single-event scratch above, cached
-	// plans intentionally outlive the event that built them: every entry
-	// is keyed on the complete set of inputs its replay depends on (jobs
-	// by identity, per-job service/demand/phase state, the demand total,
-	// the quantum, the stretch length, and the fault-service override),
-	// so a hit is valid whenever the key matches — including after a
-	// Restore, where forks re-entering the same warmup prefix re-derive
-	// exactly the keyed state and reuse the plan across what-if cells.
-	// Content addressing is what makes the cache fork-safe without any
-	// invalidation hook in Snapshot/Restore.
-	pressPlans [pressPlanSlots]pressPlan
-	pressNext  int
-	// pressRun is the replay's running per-job CPU-service cursor, plain
-	// single-event scratch like the ramp slices.
-	pressRun []time.Duration
-	pressIO  []float64
-
-	// doneScratch backs Tick's completed-jobs return value. Callers
-	// consume the slice before the node's next Tick, so reusing one
-	// backing array keeps completion-bearing quanta allocation-free.
-	doneScratch []*job.Job
-}
-
-// pressPlanSlots is the per-node plan-cache ring size: enough to hold the
-// plans of the handful of batched stretches between a snapshot point and
-// the first divergence, which is the window fork-heavy experiment grids
-// (WhatIfGrid, SeedSensitivity) replay over and over.
-const pressPlanSlots = 4
-
-// pressPlan is one cached stall-replay plan: the folded outcome of k
-// pressured quanta, plus the complete key identifying the node state it
-// was computed from.
-type pressPlan struct {
-	used bool
-
-	// Key. jobs are compared by pointer identity (profiles are immutable;
-	// a restored fork re-holds the very same Job objects), the rest by
-	// value. The demand total and fault-service override pin the memory
-	// manager's stall arithmetic; ioRate pins each job's cache-miss term.
-	dt         time.Duration
-	k          int64
-	remote     time.Duration
-	total      float64
-	faultStart float64
-	jobs       []*job.Job
-	ioRate     []float64
-	done       []time.Duration
-	demand     []float64
-	flat       []time.Duration
-
-	// Folded outputs: exact integer sums per job, the demand/phase state
-	// after the stretch, the replayed demand total, and the fault
-	// accumulator after the stretch. Float accumulation is order-dependent,
-	// so faultEnd is built by adding each quantum's accrual to faultStart
-	// in exact replay order — which is why faultStart is part of the key.
-	sumCPU    []time.Duration
-	sumPage   []time.Duration
-	sumQueue  []time.Duration
-	sumIO     []time.Duration
-	endDemand []float64
-	endFlat   []time.Duration
-	endTotal  float64
-	changed   bool
-	faultEnd  float64
-}
-
-// matches reports whether the plan was built from exactly the given node
-// state.
-func (p *pressPlan) matches(n *Node, dt time.Duration, k int64, remote time.Duration, total float64) bool {
-	if !p.used || p.dt != dt || p.k != k || p.remote != remote ||
-		p.total != total || p.faultStart != n.faults || len(p.jobs) != len(n.jobs) {
-		return false
-	}
-	for i, j := range n.jobs {
-		if p.jobs[i] != j || p.ioRate[i] != j.IORate() || p.done[i] != j.CPUDone() ||
-			p.demand[i] != n.demand[i] || p.flat[i] != n.flatUntil[i] {
-			return false
-		}
-	}
-	return true
+	// kern is Advance's scratch. Only its quantum, a pure function of
+	// its own key, outlives a call, so Snapshot/Restore exclude it.
+	kern kernel
 }
 
 // New constructs a workstation.
@@ -306,9 +201,7 @@ func (n *Node) notifyResidency() {
 // now and demandMB registered with the memory manager.
 func (n *Node) appendResident(j *job.Job, now time.Duration, demandMB float64) {
 	n.jobs = append(n.jobs, j)
-	n.covered = append(n.covered, now)
-	n.demand = append(n.demand, demandMB)
-	n.flatUntil = append(n.flatUntil, 0)
+	n.lanes = append(n.lanes, lane{j: j, covered: now, demand: demandMB})
 	if j.IORate() > 0 {
 		n.ioActive++
 	}
@@ -323,9 +216,7 @@ func (n *Node) removeResidentAt(idx int) {
 		n.ioActive--
 	}
 	n.jobs = append(n.jobs[:idx], n.jobs[idx+1:]...)
-	n.covered = append(n.covered[:idx], n.covered[idx+1:]...)
-	n.demand = append(n.demand[:idx], n.demand[idx+1:]...)
-	n.flatUntil = append(n.flatUntil[:idx], n.flatUntil[idx+1:]...)
+	n.lanes = append(n.lanes[:idx], n.lanes[idx+1:]...)
 	n.notifyResidency()
 }
 
@@ -432,12 +323,7 @@ func (n *Node) Reserved() bool { return n.reserved }
 // filled up.
 func (n *Node) SetReserved(v bool) {
 	if n.reserved && !v {
-		ids := make([]int, 0, len(n.incoming))
-		for id := range n.incoming {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
+		for _, id := range n.ExpectedJobs() {
 			delete(n.incoming, id)
 			_ = n.mem.Remove(id)
 		}
@@ -462,7 +348,7 @@ func (n *Node) Crash(now time.Duration) ([]*job.Job, error) {
 	lost := make([]*job.Job, len(n.jobs))
 	copy(lost, n.jobs)
 	for i, j := range lost {
-		if from := n.covered[i]; now > from {
+		if from := n.lanes[i].covered; now > from {
 			if _, err := j.Account(0, 0, now-from, now); err != nil {
 				return nil, err
 			}
@@ -471,21 +357,14 @@ func (n *Node) Crash(now time.Duration) ([]*job.Job, error) {
 			return nil, err
 		}
 	}
-	ids := make([]int, 0, len(n.incoming))
-	for id := range n.incoming {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
+	for _, id := range n.ExpectedJobs() {
 		delete(n.incoming, id)
 		if err := n.mem.Remove(id); err != nil {
 			return nil, err
 		}
 	}
 	n.jobs = nil
-	n.covered = nil
-	n.demand = nil
-	n.flatUntil = nil
+	n.lanes = nil
 	n.ioActive = 0
 	n.reserved = false
 	n.down = true
@@ -569,11 +448,17 @@ func (n *Node) IOActiveJobs() int { return n.ioActive }
 // node's I/O-active jobs can keep in memory, in [0, 1]. With no I/O-active
 // jobs the cache is trivially sufficient.
 func (n *Node) CacheAvailability() float64 {
-	need := n.cfg.IOCacheNeedMB * float64(n.IOActiveJobs())
+	return n.cacheAvailability(n.mem.DemandMB(), n.ioActive)
+}
+
+// cacheAvailability is CacheAvailability at a given demand total and
+// I/O-active count, so Advance can read it from its replay cursor.
+func (n *Node) cacheAvailability(total float64, ioActive int) float64 {
+	need := n.cfg.IOCacheNeedMB * float64(ioActive)
 	if need <= 0 {
 		return 1
 	}
-	avail := n.mem.IdleMB() / need
+	avail := n.mem.IdleAtMB(total) / need
 	if avail > 1 {
 		return 1
 	}
@@ -709,7 +594,7 @@ func (n *Node) Detach(j *job.Job, now time.Duration) error {
 	if idx < 0 {
 		return fmt.Errorf("node %d: job %d not resident", n.cfg.ID, j.ID)
 	}
-	if from := n.covered[idx]; now > from {
+	if from := n.lanes[idx].covered; now > from {
 		if _, err := j.Account(0, 0, now-from, now); err != nil {
 			return err
 		}
@@ -755,9 +640,7 @@ type Snapshot struct {
 	draining     bool
 	removed      bool
 	reservedJobs map[int]bool
-	covered      []time.Duration
-	demand       []float64
-	flatUntil    []time.Duration
+	lanes        []lane
 	ioActive     int
 	lastPressure bool
 	incoming     map[int]float64
@@ -775,9 +658,7 @@ func (n *Node) Snapshot() Snapshot {
 		down:         n.down,
 		draining:     n.draining,
 		removed:      n.removed,
-		covered:      append([]time.Duration(nil), n.covered...),
-		demand:       append([]float64(nil), n.demand...),
-		flatUntil:    append([]time.Duration(nil), n.flatUntil...),
+		lanes:        append([]lane(nil), n.lanes...),
 		ioActive:     n.ioActive,
 		lastPressure: n.lastPressured,
 		faults:       n.faults,
@@ -806,9 +687,7 @@ func (n *Node) Snapshot() Snapshot {
 func (n *Node) Restore(s Snapshot) {
 	n.mem.Restore(s.mem)
 	n.jobs = append(n.jobs[:0], s.jobs...)
-	n.covered = append(n.covered[:0], s.covered...)
-	n.demand = append(n.demand[:0], s.demand...)
-	n.flatUntil = append(n.flatUntil[:0], s.flatUntil...)
+	n.lanes = append(n.lanes[:0], s.lanes...)
 	n.reserved = s.reserved
 	n.down = s.down
 	n.draining = s.draining
@@ -828,164 +707,6 @@ func (n *Node) Restore(s Snapshot) {
 	}
 }
 
-// Tick advances the workstation by one scheduling quantum dt ending at
-// virtual time now. Runnable jobs share the CPU round-robin: each receives
-// an equal share of the quantum, loses context-switch overhead when
-// multiprogrammed, and converts execution time into CPU progress at the
-// node's speed factor, degraded by the memory manager's current paging
-// stall. Completed jobs are removed and returned.
-func (n *Node) Tick(dt time.Duration, now time.Duration) ([]*job.Job, error) {
-	if dt <= 0 {
-		return nil, fmt.Errorf("node %d: nonpositive quantum %v", n.cfg.ID, dt)
-	}
-	count := len(n.jobs)
-	if count == 0 {
-		return nil, nil
-	}
-
-	share := dt / time.Duration(count)
-	overhead := time.Duration(0)
-	if count > 1 {
-		overhead = n.cfg.ContextSwitch
-	}
-	exec := share - overhead
-	if exec < 0 {
-		exec = 0
-	}
-
-	v := n.SpeedFactor()
-	stall := n.mem.StallPerCPUSecond() // wall seconds of paging per CPU second
-	// Buffer-cache squeeze: when idle memory cannot hold the I/O-active
-	// jobs' cache working sets, their reads and writes go to the disk.
-	cacheMiss := 1 - n.CacheAvailability()
-
-	// Loop invariants, hoisted. The fast paths below skip float operations
-	// only when IEEE 754 guarantees the skipped operation is an exact
-	// identity (x/1 == x, x+0 == x for x >= 0), so results stay
-	// bit-identical to the straight-line arithmetic.
-	execSecFull := exec.Seconds()
-	denomBase := 1/v + stall
-	lo := now - dt
-
-	done := n.doneScratch[:0]
-	for i, j := range n.jobs {
-		// Credit only the portion of the quantum the job was actually
-		// resident for (it may have been admitted mid-quantum).
-		resid := dt
-		if from := n.covered[i]; from > lo {
-			resid = now - from
-		}
-		n.covered[i] = now
-		if resid <= 0 {
-			continue
-		}
-		execHere := exec
-		execSec := execSecFull
-		if execHere > resid {
-			execHere = resid
-			execSec = execHere.Seconds()
-		}
-		// In execution wall time w the job splits between compute
-		// (cpu/v), paging (cpu*stall), and buffer-cache-miss disk time
-		// (cpu*ioStall): cpu = w / (1/v + stall + ioStall).
-		ioStall := 0.0
-		if rate := j.IORate(); rate > 0 && cacheMiss > 0 && n.cfg.DiskMBps > 0 {
-			ioStall = rate / n.cfg.DiskMBps * cacheMiss
-		}
-		cpuSec := execSec
-		if denom := denomBase + ioStall; denom != 1 {
-			cpuSec = execSec / denom
-		}
-		cpu := time.Duration(cpuSec * float64(time.Second))
-		if rem := j.Remaining(); cpu >= rem {
-			cpu = rem
-		}
-		computeWall := cpu
-		if v != 1 {
-			computeWall = time.Duration(float64(cpu) / v)
-		}
-		// Both paging and cache-miss disk time are memory-pressure-
-		// induced I/O waits; the Section 5 decomposition folds them into
-		// the paging component.
-		page := time.Duration(0)
-		if ps := stall + ioStall; ps != 0 {
-			page = time.Duration(float64(cpu) * ps)
-		}
-		queue := resid - computeWall - page
-		if queue < 0 {
-			queue = 0
-		}
-		finished, err := j.Account(cpu, page, queue, now)
-		if err != nil {
-			return nil, err
-		}
-		if n.mem.Pressured() { // FaultRate is nonzero exactly under pressure
-			n.faults += float64(cpu) / float64(time.Second) * n.mem.FaultRate()
-		}
-		if ioStall != 0 {
-			n.ioStall += time.Duration(float64(cpu) * ioStall)
-		}
-		n.cpuDelivered += cpu
-		if finished {
-			done = append(done, j)
-			if err := n.mem.Remove(j.ID); err != nil {
-				return nil, err
-			}
-			delete(n.reservedJobs, j.ID)
-			if n.tr != nil {
-				n.tr.Emit(obs.Event{At: now, Kind: obs.KindJobDone,
-					Node: int32(n.cfg.ID), Job: int32(j.ID), Aux: -1})
-			}
-			continue
-		}
-		// Demand evolves with progress; refresh the memory manager only
-		// when the job has run past the flat-phase horizon within which
-		// its demand provably cannot move.
-		if j.CPUDone() > n.flatUntil[i] {
-			d, horizon := j.DemandHorizon()
-			if d != n.demand[i] {
-				if err := n.mem.Update(j.ID, d); err != nil {
-					return nil, err
-				}
-				n.demand[i] = d
-			}
-			n.flatUntil[i] = horizon
-		}
-	}
-	if len(done) > 0 {
-		k := 0
-		for i, j := range n.jobs {
-			if j.State() == job.StateDone {
-				if j.IORate() > 0 {
-					n.ioActive--
-				}
-				continue
-			}
-			n.jobs[k] = j
-			n.covered[k] = n.covered[i]
-			n.demand[k] = n.demand[i]
-			n.flatUntil[k] = n.flatUntil[i]
-			k++
-		}
-		for i := k; i < len(n.jobs); i++ {
-			n.jobs[i] = nil
-		}
-		n.jobs = n.jobs[:k]
-		n.covered = n.covered[:k]
-		n.demand = n.demand[:k]
-		n.flatUntil = n.flatUntil[:k]
-		n.notifyResidency()
-	}
-	// Demand refreshes and completions above may have moved pressure in
-	// either direction; one transition check covers the whole tick.
-	n.notifyPressure()
-	if len(done) < len(n.doneScratch) {
-		clear(n.doneScratch[len(done):]) // drop stale job references
-	}
-	n.doneScratch = done
-	return done, nil
-}
-
 // CompletionFloor reports a stretch length k ≤ kMax during which no
 // resident job can possibly complete, whatever the memory pressure does
 // meanwhile: per-tick CPU progress is bounded by the full execution share
@@ -997,12 +718,7 @@ func (n *Node) CompletionFloor(dt time.Duration, kMax int64) int64 {
 	if count == 0 || dt <= 0 {
 		return kMax
 	}
-	share := dt / time.Duration(count)
-	overhead := time.Duration(0)
-	if count > 1 {
-		overhead = n.cfg.ContextSwitch
-	}
-	exec := share - overhead
+	exec := n.execShare(dt, count)
 	if exec <= 0 {
 		return kMax // no CPU progress possible, so no completions either
 	}
@@ -1013,10 +729,9 @@ func (n *Node) CompletionFloor(dt time.Duration, kMax int64) int64 {
 		if kj == 0 {
 			// A resident job could complete on the very next tick even at
 			// maximal per-quantum progress: no stretch exists. Returning
-			// immediately skips the remaining residents and, more
-			// importantly, spares the cluster a plan/bailout cycle on a
-			// near-done node — under pressure that cycle replays the whole
-			// stall sequence before discovering the completion.
+			// immediately skips the remaining residents, and the cluster
+			// then advances every node one quantum at a time, delivering
+			// any completion to the scheduler at its own instant.
 			return 0
 		}
 		if kj < k {
@@ -1026,492 +741,458 @@ func (n *Node) CompletionFloor(dt time.Duration, kMax int64) int64 {
 	return k
 }
 
-// PlanQuanta reports how many consecutive quantum ticks, starting with the
-// tick due at now, can be collapsed into one closed-form accounting pass —
-// at most kMax. A stretch is collapsible only while every per-tick
-// computation is provably identical: all jobs fully resident (no partial
-// first quantum), no job reaching completion, and no job crossing its
-// flat-memory-phase horizon (which would trigger a demand refresh). The
-// per-job quantities are cached on the node for the matching ApplyQuanta;
-// a return of 0 or 1 means the caller must take a normal Tick.
-func (n *Node) PlanQuanta(dt, now time.Duration, kMax int64) int64 {
-	n.planK = 0
-	count := len(n.jobs)
-	if count == 0 || dt <= 0 || kMax < 2 {
-		return 0
-	}
-	lo := now - dt
-	for _, from := range n.covered {
-		if from > lo {
-			return 0 // admitted mid-quantum: its first tick credits partial residency
-		}
-	}
+// lane is one resident job's accounting state: covered, the virtual time
+// up to which its execution has been accounted, so a job admitted
+// mid-quantum is credited only for its residency; demand, its memory
+// demand as registered with the manager; and flat, the CPU-service horizon
+// up to which that demand provably holds (a flat memory phase), so the
+// demand lookup is skipped until then. The rest is Advance's scratch: the
+// job's service as the stretch advances it, the charge of one fully
+// resident quantum at the current stall, and the exact integer sums
+// charged so far. The fields every quantum reads come first.
+type lane struct {
+	j      *job.Job
+	end    time.Duration // the job's CPU demand
+	run    time.Duration // CPU service including this stretch's charges
+	flat   time.Duration
+	demand float64
+	cpu    time.Duration // one fully resident quantum's CPU charge
 
-	// Identical to Tick's hoisted invariants: nothing below mutates the
-	// memory manager, so these stay constant across the whole stretch.
+	covered         time.Duration
+	page, queue, io time.Duration
+
+	sumCPU, sumPage, sumQueue time.Duration
+}
+
+// quantum holds the invariants every job's charge in one quantum shares:
+// the execution share and the paging and cache-miss stalls read from the
+// demand total at the quantum's start, with the full quantum's charge of a
+// job doing no I/O, which is every such job's. Everything in it is a pure
+// function of its inputs, so it carries over from one Advance to the next.
+type quantum struct {
+	dt        time.Duration
+	jobs      int
+	exec      time.Duration
+	execSec   float64
+	v         float64
+	diskMBps  float64
+	stall     float64
+	denomBase float64
+	cacheMiss float64
+
+	cpu, page, queue time.Duration // a full quantum's charge of a job doing no I/O
+}
+
+// execShare is each of count resident jobs' execution time in a quantum
+// dt: an equal round-robin share, less context-switch overhead when
+// multiprogrammed.
+func (n *Node) execShare(dt time.Duration, count int) time.Duration {
 	share := dt / time.Duration(count)
 	overhead := time.Duration(0)
 	if count > 1 {
 		overhead = n.cfg.ContextSwitch
 	}
-	exec := share - overhead
-	if exec < 0 {
-		exec = 0
+	if exec := share - overhead; exec > 0 {
+		return exec
 	}
-	v := n.SpeedFactor()
-	stall := n.mem.StallPerCPUSecond()
-	cacheMiss := 1 - n.CacheAvailability()
-	execSec := exec.Seconds()
-	denomBase := 1/v + stall
-
-	n.planCPU = append(n.planCPU[:0], make([]time.Duration, count)...)
-	n.planPage = append(n.planPage[:0], make([]time.Duration, count)...)
-	n.planQueue = append(n.planQueue[:0], make([]time.Duration, count)...)
-	n.planIO = append(n.planIO[:0], make([]time.Duration, count)...)
-
-	k := kMax
-	for i, j := range n.jobs {
-		ioStall := 0.0
-		if rate := j.IORate(); rate > 0 && cacheMiss > 0 && n.cfg.DiskMBps > 0 {
-			ioStall = rate / n.cfg.DiskMBps * cacheMiss
-		}
-		cpuSec := execSec
-		if denom := denomBase + ioStall; denom != 1 {
-			cpuSec = execSec / denom
-		}
-		cpu := time.Duration(cpuSec * float64(time.Second))
-		if cpu > 0 {
-			// Completion bound: all k ticks must leave demand outstanding.
-			if kj := int64((j.Remaining() - 1) / cpu); kj < k {
-				k = kj
-			}
-			// Horizon bound: accumulated service must stay at or below the
-			// flat-phase horizon, or a tick would refresh the demand.
-			flat := n.flatUntil[i] - j.CPUDone()
-			if flat < 0 {
-				return 0
-			}
-			if kj := int64(flat / cpu); kj < k {
-				k = kj
-			}
-			if k < 2 {
-				return 0
-			}
-		}
-		computeWall := cpu
-		if v != 1 {
-			computeWall = time.Duration(float64(cpu) / v)
-		}
-		page := time.Duration(0)
-		if ps := stall + ioStall; ps != 0 {
-			page = time.Duration(float64(cpu) * ps)
-		}
-		queue := dt - computeWall - page
-		if queue < 0 {
-			queue = 0
-		}
-		n.planCPU[i] = cpu
-		n.planPage[i] = page
-		n.planQueue[i] = queue
-		if ioStall != 0 {
-			n.planIO[i] = time.Duration(float64(cpu) * ioStall)
-		}
-	}
-	n.planNow, n.planDt, n.planK = now, dt, k
-	return k
+	return 0
 }
 
-// ApplyQuanta charges k quanta planned by PlanQuanta in one pass,
-// bit-identical to k sequential Ticks over the same stretch: every
-// accumulator is either an exact integer fold (job accounting, delivered
-// CPU, I/O stall) or replayed add-by-add in tick order (the page-fault
-// float accumulation). k may be smaller than planned — the per-tick
-// quantities do not depend on it — but never larger.
-func (n *Node) ApplyQuanta(dt, now time.Duration, k int64) error {
-	if k < 2 || k > n.planK || dt != n.planDt || now != n.planNow {
-		return fmt.Errorf("node %d: apply of %d quanta without a matching plan", n.cfg.ID, k)
+// charge is the share of one quantum of a job doing ioRate MB/s of I/O:
+// resid of residency, rem of outstanding CPU demand. The fast paths skip
+// a float operation only where IEEE 754 makes it an exact identity (x/1 ==
+// x, x+0 == x for x >= 0).
+func (q *quantum) charge(ioRate float64, resid, rem time.Duration) (cpu, page, queue, io time.Duration) {
+	execSec := q.execSec
+	if q.exec > resid {
+		execSec = resid.Seconds()
 	}
-	n.planK = 0
-	last := now + time.Duration(k-1)*dt
-	rate := 0.0
-	if n.mem.Pressured() {
-		rate = n.mem.FaultRate()
+	// In execution wall time w the job splits between compute (cpu/v),
+	// paging (cpu*stall), and buffer-cache-miss disk time (cpu*ioStall):
+	// cpu = w / (1/v + stall + ioStall).
+	ioStall := 0.0
+	if ioRate > 0 && q.cacheMiss > 0 && q.diskMBps > 0 {
+		ioStall = ioRate / q.diskMBps * q.cacheMiss
 	}
-	for i, j := range n.jobs {
-		cpu := n.planCPU[i]
-		if err := j.AccountBatch(cpu, n.planPage[i], n.planQueue[i], k); err != nil {
-			return err
-		}
-		n.covered[i] = last
-		n.cpuDelivered += cpu * time.Duration(k)
-		if io := n.planIO[i]; io != 0 {
-			n.ioStall += io * time.Duration(k)
-		}
+	cpuSec := execSec
+	if denom := q.denomBase + ioStall; denom != 1 {
+		cpuSec = execSec / denom
 	}
-	if rate != 0 {
-		// Tick accrues faults with one float add per job per quantum;
-		// replay the same add sequence so the sum is bit-identical.
-		for t := int64(0); t < k; t++ {
-			for _, cpu := range n.planCPU {
-				n.faults += float64(cpu) / float64(time.Second) * rate
-			}
-		}
-	}
-	n.notifyPressure()
-	return nil
-}
-
-// TickRampBatch advances k quanta in one pass on a node whose only
-// per-tick variation is ramping memory demand. Preconditions (checked
-// here): zero paging stall, no I/O-active jobs, full residency, and no
-// completion within the stretch — then every tick's CPU arithmetic is the
-// same constant expression and only the demand bookkeeping evolves. That
-// evolution is replayed on scratch state in the exact per-tick,
-// per-job order Tick would use — including the running demand total's
-// add-by-add float accumulation — so the committed values are
-// bit-identical to k sequential Ticks. If the replay would ever cross
-// into memory pressure (which changes the next tick's stall and accrues
-// page faults), the node is left untouched and the method reports false
-// so the caller falls back to ordinary ticks.
-func (n *Node) TickRampBatch(dt, now time.Duration, k int64) (bool, error) {
-	count := len(n.jobs)
-	if count == 0 || dt <= 0 || k < 2 || n.ioActive > 0 {
-		return false, nil
-	}
-	stall := n.mem.StallPerCPUSecond()
-	if stall != 0 {
-		return false, nil
-	}
-	lo := now - dt
-	for _, from := range n.covered {
-		if from > lo {
-			return false, nil // admitted mid-quantum: first tick credits partial residency
-		}
-	}
-
-	// With zero stall and no I/O-active jobs, Tick's per-job pipeline
-	// collapses to one shared value chain: ioStall == 0 for every job, so
-	// cpu, computeWall, and queue are job-independent. page stays exactly
-	// zero (Tick skips the multiply when stall+ioStall == 0).
-	share := dt / time.Duration(count)
-	overhead := time.Duration(0)
-	if count > 1 {
-		overhead = n.cfg.ContextSwitch
-	}
-	exec := share - overhead
-	if exec < 0 {
-		exec = 0
-	}
-	v := n.SpeedFactor()
-	cpuSec := exec.Seconds()
-	if denom := 1/v + stall; denom != 1 {
-		cpuSec = cpuSec / denom
-	}
-	cpu := time.Duration(cpuSec * float64(time.Second))
-	if cpu > 0 {
-		for _, j := range n.jobs {
-			// The caller's completion floor should already guarantee
-			// this; re-check so Tick's cpu-clamp branch provably never
-			// fires inside the stretch.
-			if int64((j.Remaining()-1)/cpu) < k {
-				return false, nil
-			}
-		}
+	cpu = time.Duration(cpuSec * float64(time.Second))
+	if cpu >= rem {
+		cpu = rem
 	}
 	computeWall := cpu
-	if v != 1 {
-		computeWall = time.Duration(float64(cpu) / v)
+	if q.v != 1 {
+		computeWall = time.Duration(float64(cpu) / q.v)
 	}
-	queue := dt - computeWall
+	// Both paging and cache-miss disk time are memory-pressure-induced
+	// I/O waits; the Section 5 decomposition folds them into the paging
+	// component.
+	if ps := q.stall + ioStall; ps != 0 {
+		page = time.Duration(float64(cpu) * ps)
+	}
+	queue = resid - computeWall - page
 	if queue < 0 {
 		queue = 0
 	}
-
-	// Replay the demand evolution on scratch. Tick's order per quantum is:
-	// for each job — account cpu, check Pressured (fault accrual), then
-	// refresh demand past the flat horizon. The pressure check for job i
-	// therefore sees the total after jobs 0..i-1 updated this tick; the
-	// replay compares at exactly those points and bails on any crossing.
-	user := n.mem.UserMB()
-	total := n.mem.DemandMB()
-	n.rampDemand = append(n.rampDemand[:0], n.demand...)
-	n.rampFlat = append(n.rampFlat[:0], n.flatUntil...)
-	changed := false
-	for t := int64(1); t <= k; t++ {
-		adv := time.Duration(t) * cpu
-		for i, j := range n.jobs {
-			if total > user {
-				return false, nil
-			}
-			if done := j.CPUDone() + adv; done > n.rampFlat[i] {
-				d, horizon := j.DemandHorizonAt(done)
-				if d != n.rampDemand[i] {
-					total += d - n.rampDemand[i]
-					if total < 0 {
-						total = 0 // Update's clamp, replayed
-					}
-					n.rampDemand[i] = d
-					changed = true
-				}
-				n.rampFlat[i] = horizon
-			}
-		}
+	if ioStall != 0 {
+		io = time.Duration(float64(cpu) * ioStall)
 	}
-
-	// Commit: integer accounting folds exactly; demand state and the
-	// replayed total land as sequential ticks would have left them. A
-	// pressure crossing caused by the very last update is notified here,
-	// just as the final Tick's notifyPressure would have.
-	last := now + time.Duration(k-1)*dt
-	for i, j := range n.jobs {
-		if err := j.AccountBatch(cpu, 0, queue, k); err != nil {
-			return false, err
-		}
-		n.covered[i] = last
-		n.cpuDelivered += cpu * time.Duration(k)
-	}
-	if changed {
-		n.rampIDs = n.rampIDs[:0]
-		for _, j := range n.jobs {
-			n.rampIDs = append(n.rampIDs, j.ID)
-		}
-		if err := n.mem.ReplayDemands(n.rampIDs, n.rampDemand, total); err != nil {
-			return false, err
-		}
-	}
-	copy(n.demand, n.rampDemand)
-	copy(n.flatUntil, n.rampFlat)
-	n.notifyPressure()
-	return true, nil
+	return cpu, page, queue, io
 }
 
-// TickPressuredBatch advances k quanta in one pass on a node under memory
-// pressure — the regime where every tick's paging stall feeds back into the
-// next tick's arithmetic, which PlanQuanta (constant per-tick quantities)
-// and TickRampBatch (zero stall) cannot fold. The stall sequence is
-// replayed from a memory.Replay cursor: each quantum hoists the stall from
-// the cursor's running demand total exactly as Tick hoists it from the
-// manager, each job's cpu/page/queue/ioStall chain runs the identical
-// straight-line float arithmetic, page-fault addends are recorded at the
-// exact per-job accrual points (against the total as updated by earlier
-// jobs that tick), and demand refreshes step the cursor in Tick's
-// per-tick, per-job order. The replay bails — leaving the node untouched
-// and reporting false — on any pressure-boundary crossing, completion
-// clamp, or partial residency, so commits are provably bit-identical to k
-// sequential Ticks.
+// kernel is one Advance call's working state: the lanes and their shared
+// charges, the replayed demand total with its fault rate, and the float
+// accumulators that must be added to in quantum order.
+type kernel struct {
+	n        *Node
+	lanes    []lane // the node's lanes of jobs still running
+	ids      []int
+	mbs      []float64
+	dt       time.Duration
+	q        quantum
+	charged  int           // job count the lanes' charges are for; 0 before the first
+	fs       time.Duration // fault service time
+	rep      memory.Replay
+	user     float64
+	fr       float64 // fault rate at rep's total unless frStale
+	frStale  bool
+	faults   float64
+	changed  bool          // some job's demand moved
+	e        time.Duration // quanta charged at the lanes' charges, not yet summed
+	at       time.Duration // end of the quantum being charged
+	ioActive int
+
+	// done backs Advance's completed-jobs return value. Callers consume
+	// the slice before the node's next Advance, so reusing one backing
+	// array keeps completion-bearing quanta allocation-free.
+	done []*job.Job
+}
+
+// Advance charges k consecutive scheduling quanta of length dt, the first
+// ending at virtual time now. In each quantum the resident jobs share the
+// CPU round-robin: each receives an equal share, loses context-switch
+// overhead when multiprogrammed, and converts execution time into CPU
+// progress at the node's speed factor, degraded by the paging stall of the
+// demand total at the quantum's start (and, for I/O-active jobs, by
+// buffer-cache misses). A job admitted mid-quantum is credited only for
+// its residency. Completed jobs are removed and returned; the slice is
+// reused by the next call.
 //
-// Built plans are cached in a content-keyed ring (see pressPlan): forks
-// that Restore to the same warmup prefix re-derive the identical key and
-// reuse the fold without replaying.
-func (n *Node) TickPressuredBatch(dt, now time.Duration, k int64) (bool, error) {
-	count := len(n.jobs)
-	if count == 0 || dt <= 0 || k < 2 {
-		return false, nil
+// Every float operation runs in one quantum's per-job order, on scratch
+// state: a memory.Replay cursor for the demand total and a service cursor
+// per job. Charges are recomputed only when the stall, the cache miss, or
+// the job count moves; until then they accrue as a count of quanta that is
+// multiplied out exactly. A run of quanta in which no job completes or
+// crosses its flat-phase horizon moves nothing else, so it is skipped in
+// one step; only its order-sensitive page-fault addends are still added
+// one at a time. The result is therefore bit-identical to k calls with
+// k = 1. The pressure watcher is notified once, at the end: pressure
+// moves only the watcher's bit.
+func (n *Node) Advance(dt, now time.Duration, k int64) ([]*job.Job, error) {
+	if dt <= 0 || k < 1 {
+		return nil, fmt.Errorf("node %d: cannot advance %d quanta of %v", n.cfg.ID, k, dt)
 	}
-	if !n.mem.Pressured() {
-		return false, nil // unpressured regimes belong to PlanQuanta/TickRampBatch
+	if len(n.jobs) == 0 {
+		return nil, nil
 	}
-	lo := now - dt
-	for _, from := range n.covered {
-		if from > lo {
-			return false, nil // admitted mid-quantum: first tick credits partial residency
-		}
+	kr := &n.kern
+	clear(kr.done) // drop the last call's job references
+	kr.n, kr.lanes, kr.dt, kr.charged, kr.e = n, n.lanes, dt, 0, 0
+	kr.fs, kr.rep, kr.user = n.mem.FaultServiceTime(), n.mem.Replay(), n.mem.UserMB()
+	kr.frStale, kr.faults, kr.changed = true, n.faults, false
+	kr.ioActive, kr.done = n.ioActive, kr.done[:0]
+	partial := false // some job's first quantum credits partial residency
+	for i := range kr.lanes {
+		l := &kr.lanes[i]
+		l.end, l.run = l.j.CPUDemand, l.j.CPUDone()
+		l.sumCPU, l.sumPage, l.sumQueue = 0, 0, 0
+		partial = partial || l.covered > now-dt
 	}
 
-	remote := n.mem.FaultServiceTime()
-	total := n.mem.DemandMB()
-	var plan *pressPlan
-	for s := range n.pressPlans {
-		if p := &n.pressPlans[s]; p.matches(n, dt, k, remote, total) {
-			plan = p
+	for t := int64(0); t < k && len(kr.lanes) > 0; {
+		kr.recharge()
+		// A first quantum that credits partial residency is charged apart
+		// for every job and stays out of the count.
+		first, limit := t == 0 && partial, k
+		if first {
+			limit = 1
+		} else if k-t > 1 {
+			if m := foldable(kr.lanes, k-t); m > 0 {
+				kr.fold(m)
+				if t += m; t == k {
+					break
+				}
+			}
+		}
+		next, died := kr.quanta(t, limit, now+time.Duration(t)*dt, !first)
+		if died {
+			if err := kr.retire(now + time.Duration(next-1)*dt); err != nil {
+				return nil, err
+			}
+		}
+		t = next
+	}
+	n.settle(kr.lanes, kr.e)
+
+	last := now + time.Duration(k-1)*dt
+	kr.ids, kr.mbs = kr.ids[:0], kr.mbs[:0]
+	for i := range kr.lanes {
+		l := &kr.lanes[i]
+		if _, err := l.j.Account(l.sumCPU, l.sumPage, l.sumQueue, last); err != nil {
+			return nil, err
+		}
+		l.covered = last
+		kr.ids, kr.mbs = append(kr.ids, l.j.ID), append(kr.mbs, l.demand)
+	}
+	n.faults = kr.faults
+	if len(kr.done) > 0 {
+		n.ioActive = kr.ioActive
+		n.notifyResidency()
+	}
+	if kr.changed {
+		if err := n.mem.ReplayDemands(kr.ids, kr.mbs, kr.rep.Total()); err != nil {
+			return nil, err
+		}
+	}
+	n.notifyPressure()
+	return kr.done, nil
+}
+
+// recharge reads the stall and cache miss at the cursor's total. If they
+// or the job count moved, it sums the quanta counted at the old charges
+// and recomputes every lane's charge. Charges are computed unclamped: a
+// quantum that would complete its job is charged apart.
+func (kr *kernel) recharge() {
+	stall := 0.0 // FaultRateAt is exactly 0 unpressured, so stall is too
+	if kr.rep.Total() > kr.user {
+		if kr.frStale {
+			kr.refault(kr.rep)
+		}
+		stall = kr.fr * kr.fs.Seconds()
+	}
+	cacheMiss := 1 - kr.n.cacheAvailability(kr.rep.Total(), kr.ioActive)
+	if kr.charged == len(kr.lanes) && stall == kr.q.stall && cacheMiss == kr.q.cacheMiss {
+		return
+	}
+	kr.n.settle(kr.lanes, kr.e)
+	kr.e, kr.charged = 0, len(kr.lanes)
+	q := &kr.q // carried over from the last call where its key still holds
+	if q.dt != kr.dt || q.jobs != kr.charged || q.v == 0 {
+		q.dt, q.jobs, q.v, q.diskMBps = kr.dt, kr.charged, kr.n.SpeedFactor(), kr.n.cfg.DiskMBps
+		q.exec = kr.n.execShare(q.dt, q.jobs)
+		q.execSec, q.stall = q.exec.Seconds(), math.NaN() // NaN: recompute below
+	}
+	if stall != q.stall || cacheMiss != q.cacheMiss {
+		q.stall, q.denomBase, q.cacheMiss = stall, 1/q.v+stall, cacheMiss
+		q.cpu, q.page, q.queue, _ = q.charge(0, kr.dt, math.MaxInt64)
+	}
+	for i := range kr.lanes {
+		l := &kr.lanes[i]
+		if rate := l.j.IORate(); rate > 0 {
+			l.cpu, l.page, l.queue, l.io = q.charge(rate, kr.dt, math.MaxInt64)
+		} else {
+			l.cpu, l.page, l.queue, l.io = q.cpu, q.page, q.queue, 0
+		}
+	}
+}
+
+// quanta charges the quanta from t up to limit one at a time, the first
+// ending at at, and returns the next t and whether a job completed (which
+// ends the run). Within a quantum each job in turn takes its charge,
+// checks for faults against the total as moved by earlier jobs this
+// quantum, then completes or looks up the demand its progress reaches.
+// A quantum that looks up nothing also ends the run, so the caller can
+// fold what follows. counted adds each quantum to the count.
+func (kr *kernel) quanta(t, limit int64, at time.Duration, counted bool) (int64, bool) {
+	const (
+		looked = 1 << iota
+		moved
+		died
+	)
+	lanes, rep, user := kr.lanes, kr.rep, kr.user
+	// Until a step of the total brings pressure on, an unpressured node
+	// without I/O-active jobs keeps its charges whatever its demand.
+	steady := kr.q.stall == 0 && kr.ioActive == 0
+	kr.at = at
+	var run uint8 // what the quantum did
+	for {
+		run = 0
+		for i := range lanes {
+			l := &lanes[i]
+			cpu := l.cpu
+			if !counted || cpu >= l.end-l.run {
+				var ok bool
+				if cpu, ok = kr.chargeApart(l); !ok {
+					continue
+				}
+			}
+			l.run += cpu
+			if rep.Total() > user { // the fault rate is nonzero exactly under pressure
+				if kr.frStale {
+					kr.refault(rep)
+				}
+				kr.faults += float64(cpu) / float64(time.Second) * kr.fr
+			}
+			if l.run >= l.end {
+				rep = rep.Step(l.demand, 0) // x + (0-d) is x - d exactly: Remove's arithmetic
+				kr.frStale, run = true, run|died
+			} else if l.run > l.flat {
+				// Demand evolves with progress; look it up only once the
+				// job has run past the flat-phase horizon within which its
+				// demand provably cannot move.
+				d, horizon := l.j.DemandHorizonAt(l.run)
+				if d != l.demand {
+					rep = rep.Step(l.demand, d)
+					kr.frStale, run = true, run|moved
+					l.demand = d
+				}
+				l.flat, run = horizon, run|looked
+			}
+		}
+		t++
+		kr.at += kr.dt
+		if counted {
+			kr.e++
+		}
+		if run&moved != 0 {
+			kr.changed = true
+		}
+		if t == limit || run&(died|looked) != looked {
 			break
 		}
-	}
-	if plan == nil {
-		plan = &n.pressPlans[n.pressNext]
-		n.pressNext = (n.pressNext + 1) % pressPlanSlots
-		if !n.buildPressPlan(plan, dt, k, remote, total) {
-			return false, nil
+		if run&moved != 0 && (!steady || rep.Total() > user) {
+			kr.rep = rep
+			kr.recharge()
+			steady = kr.q.stall == 0 && kr.ioActive == 0
 		}
 	}
-	return true, n.applyPressPlan(plan, now)
+	kr.rep = rep
+	return t, run&died != 0
 }
 
-// buildPressPlan replays k pressured quanta onto plan's scratch, recording
-// the key it was built from. Reports false (plan invalidated) if the
-// stretch cannot be folded bit-identically.
-func (n *Node) buildPressPlan(p *pressPlan, dt time.Duration, k int64, remote time.Duration, total float64) bool {
-	p.used = false
-	count := len(n.jobs)
-
-	// Tick's hoisted invariants that do not depend on the demand total.
-	share := dt / time.Duration(count)
-	overhead := time.Duration(0)
-	if count > 1 {
-		overhead = n.cfg.ContextSwitch
-	}
-	exec := share - overhead
-	if exec < 0 {
-		exec = 0
-	}
-	v := n.SpeedFactor()
-	execSec := exec.Seconds()
-	// Tick re-reads cache availability every quantum, but within this
-	// stretch every tick starts pressured (the replay bails on any
-	// crossing), so idle memory is pinned at zero and the per-tick read
-	// is the same constant Tick computes now.
-	cacheMiss := 1 - n.CacheAvailability()
-
-	// Key.
-	p.dt, p.k, p.remote, p.total = dt, k, remote, total
-	p.jobs = append(p.jobs[:0], n.jobs...)
-	p.ioRate = append(p.ioRate[:0], make([]float64, count)...)
-	p.done = append(p.done[:0], make([]time.Duration, count)...)
-	p.demand = append(p.demand[:0], n.demand...)
-	p.flat = append(p.flat[:0], n.flatUntil...)
-
-	// Outputs and replay scratch.
-	p.sumCPU = append(p.sumCPU[:0], make([]time.Duration, count)...)
-	p.sumPage = append(p.sumPage[:0], make([]time.Duration, count)...)
-	p.sumQueue = append(p.sumQueue[:0], make([]time.Duration, count)...)
-	p.sumIO = append(p.sumIO[:0], make([]time.Duration, count)...)
-	p.endDemand = append(p.endDemand[:0], n.demand...)
-	p.endFlat = append(p.endFlat[:0], n.flatUntil...)
-	p.faultStart = n.faults
-	p.changed = false
-	n.pressRun = append(n.pressRun[:0], make([]time.Duration, count)...)
-
-	n.pressIO = append(n.pressIO[:0], make([]float64, count)...)
-	for i, j := range n.jobs {
-		rate := j.IORate()
-		p.ioRate[i] = rate
-		p.done[i] = j.CPUDone()
-		n.pressRun[i] = j.CPUDone()
-		// Tick recomputes the I/O stall every quantum, but rate, disk
-		// bandwidth, and the pressured cache-miss fraction are all
-		// constant across the stretch, so the quotient is too.
-		if rate > 0 && cacheMiss > 0 && n.cfg.DiskMBps > 0 {
-			n.pressIO[i] = rate / n.cfg.DiskMBps * cacheMiss
-		}
-	}
-
-	// The fault rate is a pure function of the demand total, and the total
-	// only moves on a demand refresh — recompute lazily on rep.Step instead
-	// of per quantum per job like dense Tick does. faultService is fixed
-	// for the stretch (remote backing only changes at control points), and
-	// Stall() is exactly FaultRate()*faultService().Seconds(), so the
-	// hoisted products are bit-identical to Tick's.
-	fsSec := n.mem.FaultServiceTime().Seconds()
-	userMB := n.mem.UserMB()
-	rep := n.mem.Replay()
-	fr := rep.FaultRate()
-	// The fault accumulator is replayed here, during the build, by adding
-	// each quantum's accrual in exact dense order onto the node's current
-	// value (part of the plan key); the commit just installs the result.
-	faults := n.faults
-	// Re-slice every per-job array to the shared length so the inner
-	// loop's indexing is provably in range (bounds checks hoist out).
-	jobs := p.jobs[:count]
-	pressIO := n.pressIO[:count]
-	pressRun := n.pressRun[:count]
-	sumCPU := p.sumCPU[:count]
-	sumPage := p.sumPage[:count]
-	sumQueue := p.sumQueue[:count]
-	sumIO := p.sumIO[:count]
-	endDemand := p.endDemand[:count]
-	endFlat := p.endFlat[:count]
-	for t := int64(1); t <= k; t++ {
-		if rep.Total() <= userMB {
-			return false // stall regime flipped: the next tick is flat/ramp territory
-		}
-		stall := fr * fsSec
-		denomBase := 1/v + stall
-		for i, j := range jobs {
-			ioStall := pressIO[i]
-			cpuSec := execSec
-			if denom := denomBase + ioStall; denom != 1 {
-				cpuSec = execSec / denom
-			}
-			cpu := time.Duration(cpuSec * float64(time.Second))
-			if cpu >= j.CPUDemand-pressRun[i] {
-				return false // Tick's completion clamp would fire inside the stretch
-			}
-			pressRun[i] += cpu
-			computeWall := cpu
-			if v != 1 {
-				computeWall = time.Duration(float64(cpu) / v)
-			}
-			page := time.Duration(0)
-			if ps := stall + ioStall; ps != 0 {
-				page = time.Duration(float64(cpu) * ps)
-			}
-			queue := dt - computeWall - page
-			if queue < 0 {
-				queue = 0
-			}
-			sumCPU[i] += cpu
-			sumPage[i] += page
-			sumQueue[i] += queue
-			if ioStall != 0 {
-				sumIO[i] += time.Duration(float64(cpu) * ioStall)
-			}
-			// Fault accrual point: Tick checks pressure after job i's
-			// accounting, i.e. against the total as updated by jobs
-			// 0..i-1 this tick. Record the addend; float accumulation is
-			// order-dependent, so the commit re-adds the sequence.
-			if rep.Total() <= userMB {
-				return false // crossing mid-tick changes the accrual set
-			}
-			faults += float64(cpu) / float64(time.Second) * fr
-			// Demand refresh past the flat-phase horizon, stepping the
-			// cursor with Update's exact accumulate-then-clamp.
-			if pressRun[i] > endFlat[i] {
-				d, horizon := j.DemandHorizonAt(pressRun[i])
-				if d != endDemand[i] {
-					rep.Step(endDemand[i], d)
-					fr = rep.FaultRate() // total moved: next accrual sees it
-					endDemand[i] = d
-					p.changed = true
-				}
-				endFlat[i] = horizon
-			}
-		}
-	}
-	p.endTotal = rep.Total()
-	p.faultEnd = faults
-	p.used = true
-	return true
+// refault reads the fault rate at the cursor's total.
+func (kr *kernel) refault(rep memory.Replay) {
+	kr.fr, kr.frStale = rep.FaultRate(), false
 }
 
-// applyPressPlan commits a stall-replay plan: integer sums fold exactly,
-// fault addends re-add in replay order, and the demand state lands as the
-// final tick would have left it. A pressure crossing caused by the very
-// last refresh is notified here, just as the final Tick's notifyPressure
-// would have.
-func (n *Node) applyPressPlan(p *pressPlan, now time.Duration) error {
-	last := now + time.Duration(p.k-1)*p.dt
-	for i, j := range n.jobs {
-		if err := j.AccountFold(p.sumCPU[i], p.sumPage[i], p.sumQueue[i]); err != nil {
-			return err
-		}
-		n.covered[i] = last
-		n.cpuDelivered += p.sumCPU[i]
-		if io := p.sumIO[i]; io != 0 {
-			n.ioStall += io
+// chargeApart charges l's quantum ending at at outside the count, adding
+// it to the sums directly: a partially resident first quantum, or the
+// quantum that completes the job. It reports false for a job admitted at
+// at itself, which that quantum does not charge at all.
+func (kr *kernel) chargeApart(l *lane) (time.Duration, bool) {
+	resid := kr.dt
+	if from := l.covered; from > kr.at-kr.dt {
+		if resid = kr.at - from; resid <= 0 {
+			return 0, false // admitted at this instant: accounting starts now
 		}
 	}
-	n.faults = p.faultEnd
-	if p.changed {
-		n.rampIDs = n.rampIDs[:0]
-		for _, j := range n.jobs {
-			n.rampIDs = append(n.rampIDs, j.ID)
+	cpu, page, queue, io := kr.q.charge(l.j.IORate(), resid, l.end-l.run)
+	l.sumCPU += cpu
+	l.sumPage += page
+	l.sumQueue += queue
+	kr.n.cpuDelivered += cpu
+	kr.n.ioStall += io
+	return cpu, true
+}
+
+// fold skips m quanta that move no demand: only the service cursors and
+// the count advance, and the page-fault addends are added in order.
+func (kr *kernel) fold(m int64) {
+	mq := time.Duration(m)
+	for i := range kr.lanes {
+		kr.lanes[i].run += mq * kr.lanes[i].cpu
+	}
+	kr.e += mq
+	if kr.rep.Total() > kr.user {
+		if kr.frStale {
+			kr.refault(kr.rep)
 		}
-		if err := n.mem.ReplayDemands(n.rampIDs, p.endDemand, p.endTotal); err != nil {
+		fr, faults := kr.fr, kr.faults
+		for s := int64(0); s < m; s++ {
+			for i := range kr.lanes {
+				faults += float64(kr.lanes[i].cpu) / float64(time.Second) * fr
+			}
+		}
+		kr.faults = faults
+	}
+}
+
+// retire finalizes the jobs that completed in the quantum ending at at —
+// accounting, memory release, trace — and drops them and their lanes from
+// the node.
+func (kr *kernel) retire(at time.Duration) error {
+	// The completing quantum was charged apart; the count excludes it (a
+	// first quantum never joined the count, which is then zero).
+	n, r, e := kr.n, 0, max(kr.e-1, 0)
+	for i := range kr.lanes {
+		l := &kr.lanes[i]
+		if l.run < l.end {
+			if r != i {
+				kr.lanes[r], n.jobs[r] = *l, n.jobs[i]
+			}
+			r++
+			continue
+		}
+		j := l.j
+		n.settle(kr.lanes[i:i+1], e)
+		if _, err := j.Account(l.sumCPU, l.sumPage, l.sumQueue, at); err != nil {
 			return err
 		}
+		if err := n.mem.Remove(j.ID); err != nil {
+			return err
+		}
+		delete(n.reservedJobs, j.ID)
+		if n.tr != nil {
+			n.tr.Emit(obs.Event{At: at, Kind: obs.KindJobDone,
+				Node: int32(n.cfg.ID), Job: int32(j.ID), Aux: -1})
+		}
+		if j.IORate() > 0 {
+			kr.ioActive--
+		}
+		kr.done = append(kr.done, j)
 	}
-	copy(n.demand, p.endDemand)
-	copy(n.flatUntil, p.endFlat)
-	n.notifyPressure()
+	clear(kr.lanes[r:])
+	clear(n.jobs[r:])
+	kr.lanes, n.lanes, n.jobs = kr.lanes[:r], kr.lanes[:r], n.jobs[:r]
 	return nil
+}
+
+// settle adds e quanta at each lane's current charge to its sums and to
+// the node's delivered-CPU and I/O-stall counters: integer sums, so the
+// multiply is exact.
+func (n *Node) settle(lanes []lane, e time.Duration) {
+	if e == 0 {
+		return
+	}
+	var cpu, io time.Duration
+	for i := range lanes {
+		l := &lanes[i]
+		l.sumCPU += e * l.cpu
+		l.sumPage += e * l.page
+		l.sumQueue += e * l.queue
+		cpu += l.cpu
+		io += l.io
+	}
+	n.cpuDelivered += e * cpu
+	n.ioStall += e * io
+}
+
+// foldable reports how many of the next kMax quanta leave every job short
+// of completion and inside its flat phase: those quanta move no demand
+// and repeat the lanes' charges.
+func foldable(lanes []lane, kMax int64) int64 {
+	for i := range lanes {
+		if l := &lanes[i]; l.run+l.cpu > l.flat || l.run+l.cpu >= l.end {
+			return 0 // the very next quantum looks up a demand or completes
+		}
+	}
+	m := kMax
+	for i := range lanes {
+		if l := &lanes[i]; l.cpu > 0 {
+			m = min(m, int64((min(l.flat, l.end-1)-l.run)/l.cpu))
+		}
+	}
+	return m
 }

@@ -1,11 +1,11 @@
-// Pressure-saturated equivalence: the stall-replay fold (TickPressuredBatch,
-// DESIGN.md §12) batches quanta on nodes whose paging stall feeds back into
+// Pressure-saturated equivalence: the quantum kernel (node.Advance,
+// DESIGN.md §11) batches quanta on nodes whose paging stall feeds back into
 // every tick's arithmetic. These tests drive workloads that keep most of the
 // cluster over its memory threshold for most of the run — the regime the
 // standard traces only touch in bursts — and require the batched runs to be
 // byte-identical (metrics AND JSONL event traces) to forced-dense runs, and
 // forked runs to fresh runs, including the Restore-then-batch pattern that
-// would expose a stale plan cache.
+// would expose node state carried across a fork.
 package vrcluster_test
 
 import (

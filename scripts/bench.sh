@@ -47,15 +47,17 @@ go test -run '^$' -bench "$PATTERN" -benchmem -benchtime "$BENCHTIME" \
 
 # Allocation-regression guard: the steady-state benchmarks (plain,
 # pressured, and metrics-fed) rewind to a warmup snapshot and re-simulate
-# in place, which must not allocate once backing arrays reach capacity.
-# Any allocs/op > 0 is a regression in the snapshot/restore reuse, a
-# batched quantum path, or the streaming metrics hot path.
-if grep -qE '^BenchmarkClusterRunSteady' "$raw"; then
-    if grep -E '^BenchmarkClusterRunSteady' "$raw" |
+# in place, and the per-regime quantum-kernel benchmarks advance one node
+# over and over; neither may allocate once backing arrays reach capacity.
+# Any allocs/op > 0 is a regression in the snapshot/restore reuse, the
+# quantum kernel, or the streaming metrics hot path.
+ZEROALLOC='^(BenchmarkClusterRunSteady|BenchmarkNodeAdvance)'
+if grep -qE "$ZEROALLOC" "$raw"; then
+    if grep -E "$ZEROALLOC" "$raw" |
         awk '{ for (i = 1; i < NF; i++) if ($(i+1) == "allocs/op" && $i + 0 > 0) exit 1 }'; then
         :
     else
-        echo "bench.sh: a BenchmarkClusterRunSteady* variant allocates in steady state" >&2
+        echo "bench.sh: a BenchmarkClusterRunSteady* or BenchmarkNodeAdvance/* variant allocates in steady state" >&2
         exit 1
     fi
 fi

@@ -44,7 +44,7 @@ go run ./cmd/vrbench -exp chaos -levels 1 >/dev/null
 if [ "$BENCH" = 1 ]; then
     echo "== bench smoke (single iteration)"
     go test -run '^$' -benchtime=1x \
-        -bench 'BenchmarkClusterRun$|BenchmarkClusterRunTraced|BenchmarkClusterRunBaseline|BenchmarkEngineScheduleRun|BenchmarkEngineScheduleCancel|BenchmarkNodeTick' \
+        -bench 'BenchmarkClusterRun$|BenchmarkClusterRunTraced|BenchmarkClusterRunBaseline|BenchmarkEngineScheduleRun|BenchmarkEngineScheduleCancel|BenchmarkNodeAdvance' \
         -benchmem .
 fi
 echo "verify: OK"
