@@ -1,7 +1,7 @@
 // Command vrobs summarizes a structured scheduler trace written by
-// vrsim -trace: blocking-episode durations, reservation utilization, a
-// migration-latency histogram, and a plain-text per-node Gantt chart
-// built from the periodic node samples.
+// vrsim -trace: the run's decision counters, blocking-episode durations,
+// reservation utilization, a migration-latency histogram, and a plain-text
+// per-node Gantt chart built from the periodic node samples.
 //
 // Examples:
 //
@@ -15,9 +15,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"sort"
 	"time"
 
+	"vrcluster/internal/metrics"
 	"vrcluster/internal/obs"
 	"vrcluster/internal/stats"
 )
@@ -65,6 +67,7 @@ func summarize(out io.Writer, events []obs.Event, width int, gantt bool) {
 	last := events[len(events)-1].At
 	fmt.Fprintf(out, "trace: %d events over %s\n", len(events), last.Round(time.Millisecond))
 	printKindCounts(out, events)
+	printCounters(out, events)
 	printEpisodes(out, events)
 	printReservations(out, events, last)
 	printMigrations(out, events, width)
@@ -83,6 +86,29 @@ func printKindCounts(out io.Writer, events []obs.Event) {
 	fmt.Fprintln(out, "\nevents by kind:")
 	for _, k := range kinds {
 		fmt.Fprintf(out, "  %-20s %d\n", k, counts[k])
+	}
+}
+
+// printCounters folds the trace with the simulator's own counting path,
+// so the block equals the run's metrics.Result counters. PendingPeak is
+// left out: it is a gauge the cluster samples, not a fold of events.
+// BlockingEpisodes, the summed per-pass no-destination hits, is printed as
+// NoDestinationHits so it is not read as the episode spans reported below.
+func printCounters(out io.Writer, events []obs.Event) {
+	var c metrics.Counters
+	for _, ev := range events {
+		c.Count(ev)
+	}
+	fmt.Fprintln(out, "\nrun counters (tally kinds summed by their Aux):")
+	v := reflect.ValueOf(c)
+	for i := 0; i < v.NumField(); i++ {
+		switch name := v.Type().Field(i).Name; name {
+		case "PendingPeak":
+		case "BlockingEpisodes":
+			fmt.Fprintf(out, "  %-20s %v\n", "NoDestinationHits", v.Field(i))
+		default:
+			fmt.Fprintf(out, "  %-20s %v\n", name, v.Field(i))
+		}
 	}
 }
 

@@ -2,15 +2,18 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"vrcluster/internal/cluster"
 	"vrcluster/internal/core"
+	"vrcluster/internal/faults"
 	"vrcluster/internal/obs"
 	"vrcluster/internal/trace"
 	"vrcluster/internal/workload"
@@ -175,5 +178,93 @@ func TestVrobsMalformedLineNumber(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), path) {
 		t.Fatalf("err = %v, want path mentioned", err)
+	}
+}
+
+// TestCountersBlockMatchesRunResult replays a traced fault run through
+// vrobs: the counters block folded from the JSONL must equal the run's
+// Result counters, PendingPeak aside. Every counted decision therefore
+// reaches the user's tracer, not only the collector.
+func TestCountersBlockMatchesRunResult(t *testing.T) {
+	tr, err := trace.Standard(workload.Group1, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := core.NewVReconfiguration(core.Options{Lease: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cluster.Cluster1()
+	cfg.Quantum = 100 * time.Millisecond
+	cfg.Faults = faults.Plan{
+		MTBF:          20 * time.Minute,
+		Crash:         faults.Requeue,
+		DropRate:      0.1,
+		AbortRate:     0.2,
+		Domains:       4,
+		PartitionMTBF: 30 * time.Minute,
+	}
+	cfg.Autoscale = cluster.AutoscaleConfig{MaxNodes: len(cfg.Nodes) + 4, Proto: cfg.Nodes[0]}
+	cfg.Obs = obs.NewTracer(0)
+	c, err := cluster.New(cfg, sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.WriteJSONL(f, c.Tracer().Events()); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := run([]string{"-gantt=false", path}, &buf); err != nil {
+		t.Fatal(err)
+	}
+
+	block := map[string]string{}
+	lines := strings.Split(buf.String(), "\n")
+	for i, line := range lines {
+		if !strings.HasPrefix(line, "run counters") {
+			continue
+		}
+		for _, l := range lines[i+1:] {
+			fields := strings.Fields(l)
+			if len(fields) != 2 {
+				break
+			}
+			block[fields[0]] = fields[1]
+		}
+	}
+	want := reflect.ValueOf(res.Counters)
+	for i := 0; i < want.NumField(); i++ {
+		name := want.Type().Field(i).Name
+		if name == "PendingPeak" {
+			continue
+		}
+		label := name
+		if name == "BlockingEpisodes" {
+			label = "NoDestinationHits"
+		}
+		got, ok := block[label]
+		if !ok {
+			t.Errorf("counters block has no %s line:\n%s", label, buf.String())
+			continue
+		}
+		if w := fmt.Sprint(want.Field(i)); got != w {
+			t.Errorf("%s: vrobs folded %s, run counted %s", label, got, w)
+		}
+	}
+	if res.NodeCrashes == 0 || res.MigrationAborts == 0 || res.RefreshDrops == 0 ||
+		res.DomainPartitions == 0 || res.AutoscaleUps == 0 || res.BlockingEpisodes == 0 {
+		t.Errorf("fault run left key counters at zero; the comparison is vacuous: %+v", res.Counters)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"vrcluster/internal/audit"
@@ -98,7 +99,8 @@ type Config struct {
 
 	// Obs, when non-nil, receives a structured event for every scheduler
 	// decision made during Run (see internal/obs for the taxonomy). Nil
-	// disables tracing; instrumented paths then cost only a nil check.
+	// disables tracing; the run's counters are still folded from the same
+	// events (see Emit).
 	Obs *obs.Tracer
 
 	// Membership is a script of runtime joins and drains executed at
@@ -244,10 +246,10 @@ type Cluster struct {
 	// zero: during a fork driver's shared warmup prefix only the warmup
 	// jobs are scheduled, and an early quiescence must not stop the clocks
 	// a fresh run (whose tail jobs are still outstanding) would keep
-	// running. finish clears it.
+	// running. Finish clears it.
 	holdOpen bool
 
-	// Run-lifecycle state promoted to fields so Start/finish can be split
+	// Run-lifecycle state promoted to fields so Start/Finish can be split
 	// around a snapshot point and so a snapshot can capture the tickers.
 	controlTicker *sim.Ticker
 	sampleTicker  *sim.Ticker
@@ -356,17 +358,23 @@ func New(cfg Config, sched Scheduler) (*Cluster, error) {
 }
 
 // Tracer returns the installed event sink, or nil when tracing is off.
-// All obs.Tracer methods are nil-receiver safe, so callers emit through
-// the returned pointer without checking it.
+// All obs.Tracer methods are nil-receiver safe. Report scheduler events
+// through Emit rather than the tracer, so they are counted.
 func (c *Cluster) Tracer() *obs.Tracer { return c.obs }
 
-// emit appends one event at the current virtual time. The nil check keeps
-// the disabled path free of event construction on hot call sites.
+// Emit is the single entry point for scheduler events: it folds ev into
+// the run's counters, then forwards it to Config.Obs when a sink is
+// installed. The cluster, the policies and the fault injector report every
+// counted decision through it, so the counters and the trace never
+// disagree.
+func (c *Cluster) Emit(ev obs.Event) {
+	c.col.Count(ev)
+	c.obs.Emit(ev)
+}
+
+// emit reports one event at the current virtual time through Emit.
 func (c *Cluster) emit(k obs.Kind, nodeID, jobID, aux int, val float64, flags uint8) {
-	if c.obs == nil {
-		return
-	}
-	c.obs.Emit(obs.Event{
+	c.Emit(obs.Event{
 		At:    c.engine.Now(),
 		Kind:  k,
 		Flags: flags,
@@ -482,7 +490,8 @@ func (c *Cluster) Node(id int) (*node.Node, error) {
 // Board exposes the load information board.
 func (c *Cluster) Board() *loadinfo.Board { return c.board }
 
-// Collector exposes the metrics collector (policies bump its counters).
+// Collector exposes the metrics collector. Its counters are a fold of the
+// events reported through Emit.
 func (c *Cluster) Collector() *metrics.Collector { return c.col }
 
 // Auditor returns the run's invariant auditor, or nil unless Config.Audit
@@ -500,11 +509,7 @@ func (c *Cluster) Outstanding() int { return c.outstanding }
 
 // RanJobs returns the jobs of the last Run in submission order (all
 // completed when Run returned without error), for per-job analysis.
-func (c *Cluster) RanJobs() []*job.Job {
-	out := make([]*job.Job, len(c.ranJobs))
-	copy(out, c.ranJobs)
-	return out
-}
+func (c *Cluster) RanJobs() []*job.Job { return slices.Clone(c.ranJobs) }
 
 // Recording returns the activity log captured during Run when
 // RecordInterval was set, or nil.
@@ -521,7 +526,7 @@ func (c *Cluster) Run(tr *trace.Trace) (*metrics.Result, error) {
 	if err := c.Start(tr); err != nil {
 		return nil, err
 	}
-	return c.finish(tr.Name)
+	return c.Finish(tr.Name)
 }
 
 // RunDiverged executes a trace with a what-if divergence applied at the
@@ -543,10 +548,10 @@ func (c *Cluster) RunDiverged(tr *trace.Trace, name string, at time.Duration, ap
 	}); err != nil {
 		return nil, err
 	}
-	return c.finish(name)
+	return c.Finish(name)
 }
 
-// fail aborts the run at the first error, preserving it for finish.
+// fail aborts the run at the first error, preserving it for Finish.
 func (c *Cluster) fail(err error) {
 	if c.runErr == nil {
 		c.runErr = err
@@ -557,7 +562,7 @@ func (c *Cluster) fail(err error) {
 // Start arms a trace execution on the engine without running it: arrivals,
 // fault injection, the membership script, the quantum clock, the control
 // and sampling tickers, the optional recorder, and the timeout. Run is
-// Start plus finish; the split exists so fork-based drivers can execute a
+// Start plus Finish; the split exists so fork-based drivers can execute a
 // shared warmup prefix once (RunToDivergence), Snapshot, and then finish
 // each divergent continuation from the restored state.
 func (c *Cluster) Start(tr *trace.Trace) error {
@@ -614,15 +619,13 @@ func (c *Cluster) Start(tr *trace.Trace) error {
 				}
 			},
 			PartitionStart: func(domain int, members []int) {
-				c.col.DomainPartitions++
 				c.abortWireTo(members)
 			},
-			PartitionEnd: func(domain int, members []int) {},
+			Emit: c.Emit,
 		})
 		if err != nil {
 			return err
 		}
-		inj.SetTracer(c.obs)
 		c.injector = inj
 		inj.Start()
 	}
@@ -795,7 +798,7 @@ func (c *Cluster) RunToDivergence(at time.Duration) error {
 // warmup jobs are scheduled: if they all complete before the divergence
 // instant, the tickers must keep running to it — a fresh run of the full
 // composite trace, whose tail jobs are still outstanding, would not stop
-// there. finish clears the flag.
+// there. Finish clears the flag.
 func (c *Cluster) HoldOpen(on bool) { c.holdOpen = on }
 
 // SetScheduler swaps the scheduling policy mid-run. Divergence-grid forks
@@ -856,11 +859,7 @@ func (c *Cluster) InjectArrivals(jobs []*job.Job, homes []int) error {
 // Finish drives an armed run to completion and summarizes it under the
 // given name — the fork driver's last step after Restore and
 // InjectArrivals. Run and RunDiverged are Start plus Finish.
-func (c *Cluster) Finish(name string) (*metrics.Result, error) { return c.finish(name) }
-
-// finish drives an armed run to completion and summarizes it under the
-// given trace name.
-func (c *Cluster) finish(name string) (*metrics.Result, error) {
+func (c *Cluster) Finish(name string) (*metrics.Result, error) {
 	defer c.cleanup()
 	c.holdOpen = false
 	if c.outstanding == 0 {
@@ -920,14 +919,13 @@ func (c *Cluster) place(j *job.Job, home, target int, remote bool) {
 		}
 		return
 	}
-	c.col.RemoteSubmissions++
 	r := c.net.SubmissionCost()
 	c.emit(obs.KindRemoteSubmit, target, j.ID, home, r.Seconds(), 0)
 	c.remoteInFlight++
 	c.engine.After(r, func() {
 		c.remoteInFlight--
 		n := c.nodes[target]
-		if c.unreachable(target) || !n.HasSlot() || n.Reserved() {
+		if c.unreachable(target) || !n.HasSlot() || n.Reserved() || n.Admit(j, c.engine.Now()) != nil {
 			// The slot vanished while the submission was in flight;
 			// requeue. A target retired mid-flight cannot be addressed
 			// in the trace anymore, so the block is charged to the home.
@@ -936,11 +934,6 @@ func (c *Cluster) place(j *job.Job, home, target int, remote bool) {
 				blockAt = c.effectiveHome(home)
 			}
 			c.emit(obs.KindJobBlock, blockAt, j.ID, -1, 0, 0)
-			c.pending = append(c.pending, pendingSubmission{j: j, home: home})
-			return
-		}
-		if err := n.Admit(j, c.engine.Now()); err != nil {
-			c.emit(obs.KindJobBlock, target, j.ID, -1, 0, 0)
 			c.pending = append(c.pending, pendingSubmission{j: j, home: home})
 			return
 		}
@@ -955,6 +948,13 @@ func (c *Cluster) place(j *job.Job, home, target int, remote bool) {
 // transferring its current memory image. special marks reservation
 // service: the destination admits it even while reserved.
 func (c *Cluster) Migrate(j *job.Job, dstID int, special bool) error {
+	return c.migrate(j, dstID, specialFlag(special))
+}
+
+// migrate is Migrate with the migration-start event's flags: FlagSpecial
+// for reservation service, FlagDrain for a move off a draining node.
+func (c *Cluster) migrate(j *job.Job, dstID int, flags uint8) error {
+	special := flags&obs.FlagSpecial != 0
 	if j.State() != job.StateRunning {
 		return fmt.Errorf("cluster: migrate job %d in state %v", j.ID, j.State())
 	}
@@ -980,11 +980,7 @@ func (c *Cluster) Migrate(j *job.Job, dstID int, special bool) error {
 		_ = dst.CancelExpected(j.ID)
 		return err
 	}
-	c.col.Migrations++
-	if special {
-		c.col.ReservedMigration++
-	}
-	c.emit(obs.KindMigrationStart, srcID, j.ID, dstID, demand, specialFlag(special))
+	c.emit(obs.KindMigrationStart, srcID, j.ID, dstID, demand, flags)
 	_ = c.board.NotePlacement(dstID, demand)
 	c.startTransfer(j, dstID, demand, 0, special, 1)
 	return nil
@@ -1050,7 +1046,7 @@ func (c *Cluster) startTransfer(j *job.Job, dstID int, demandMB float64, priorCo
 		if err != nil {
 			// Unreachable by construction; strand the job so it is
 			// retried rather than lost.
-			c.col.FailedLandings++
+			c.emit(obs.KindLandingFail, -1, j.ID, dstID, 0, specialFlag(special))
 			delete(c.wire, j.ID)
 			c.stranded = append(c.stranded, strandedMigration{
 				j: j, dstID: dstID, cost: priorCost + r, special: special,
@@ -1084,7 +1080,6 @@ func (c *Cluster) startTransfer(j *job.Job, dstID int, demandMB float64, priorCo
 // budget the hold is dropped and the job joins the stranded pool for
 // retargeting at the next control period.
 func (c *Cluster) migrationAborted(j *job.Job, dstID int, demandMB float64, cost time.Duration, special bool, attempt int) {
-	c.col.MigrationAborts++
 	c.emit(obs.KindMigrationAbort, -1, j.ID, dstID, cost.Seconds(), specialFlag(special))
 	var plan faults.Plan
 	if c.injector != nil {
@@ -1099,7 +1094,6 @@ func (c *Cluster) migrationAborted(j *job.Job, dstID int, demandMB float64, cost
 			t.cost = cost
 			t.linkID = -1
 		}
-		c.col.MigrationRetries++
 		backoff := plan.Backoff(attempt)
 		c.emit(obs.KindMigrationRetry, -1, j.ID, attempt+1, backoff.Seconds(), specialFlag(special))
 		c.engine.After(backoff, func() {
@@ -1108,7 +1102,6 @@ func (c *Cluster) migrationAborted(j *job.Job, dstID int, demandMB float64, cost
 		})
 		return
 	}
-	c.col.MigrationGiveUps++
 	c.emit(obs.KindMigrationGiveUp, -1, j.ID, dstID, 0, specialFlag(special))
 	delete(c.wire, j.ID)
 	if n, err := c.Node(dstID); err == nil {
@@ -1126,7 +1119,7 @@ func (c *Cluster) landMigration(j *job.Job, dstID int, cost time.Duration, speci
 	if err := dst.AttachMigrated(j, cost, special, c.engine.Now()); err == nil {
 		return
 	}
-	c.col.FailedLandings++
+	c.emit(obs.KindLandingFail, -1, j.ID, dstID, 0, specialFlag(special))
 	c.stranded = append(c.stranded, strandedMigration{
 		j: j, dstID: dstID, cost: cost, special: special,
 		since: c.engine.Now(), strandedAt: c.engine.Now(),
@@ -1145,7 +1138,6 @@ func (c *Cluster) crashNode(id int) error {
 	if err != nil {
 		return err
 	}
-	c.col.NodeCrashes++
 	policy := c.injector.Plan().Crash
 	for _, j := range lost {
 		switch policy {
@@ -1153,14 +1145,12 @@ func (c *Cluster) crashNode(id int) error {
 			if err := j.Requeue(now); err != nil {
 				return err
 			}
-			c.col.JobsRequeued++
 			c.emit(obs.KindJobRequeue, id, j.ID, c.homes[j.ID], 0, 0)
 			c.submit(j, c.homes[j.ID])
 		default:
 			if err := j.Kill(now); err != nil {
 				return err
 			}
-			c.col.JobsKilled++
 			c.emit(obs.KindJobKill, id, j.ID, -1, 0, 0)
 			c.outstanding--
 		}
@@ -1177,11 +1167,7 @@ func (c *Cluster) recoverNode(id int) error {
 	if c.nodes[id].Removed() {
 		return nil
 	}
-	if err := c.nodes[id].Recover(); err != nil {
-		return err
-	}
-	c.col.NodeRecoveries++
-	return nil
+	return c.nodes[id].Recover()
 }
 
 // quantumTick advances every active workstation by one scheduling quantum,
@@ -1274,10 +1260,11 @@ func (c *Cluster) tickNode(n *node.Node, now time.Duration) error {
 func (c *Cluster) controlTick() error {
 	now := c.engine.Now()
 	var drop func(id int) bool
+	drops := 0
 	if c.injector != nil {
 		drop = func(id int) bool {
 			if c.injector.DropRefresh(id) {
-				c.col.RefreshDrops++
+				drops++
 				return true
 			}
 			return false
@@ -1285,6 +1272,9 @@ func (c *Cluster) controlTick() error {
 	}
 	if err := c.board.RefreshWith(now, c.nodes, drop); err != nil {
 		return err
+	}
+	if drops > 0 {
+		c.emit(obs.KindRefreshDrop, -1, -1, drops, 0, 0)
 	}
 	c.sched.OnControl(c, now)
 	if err := c.processDrains(now); err != nil {
@@ -1296,6 +1286,7 @@ func (c *Cluster) controlTick() error {
 	c.retryStranded(now)
 	c.retryPending()
 	c.degradePending(now)
+	// PendingPeak is a gauge sampled here, not a fold of events.
 	if len(c.pending) > c.col.PendingPeak {
 		c.col.PendingPeak = len(c.pending)
 	}
@@ -1347,12 +1338,10 @@ func (c *Cluster) retryStranded(now time.Duration) {
 			if id, ok := c.degradeTarget(s.dstID); ok {
 				if !s.retransfer && id == s.dstID {
 					if err := dst.AttachMigrated(s.j, s.cost, s.special, now); err == nil {
-						c.col.DegradedAdmits++
 						c.emit(obs.KindDegrade, id, s.j.ID, -1, 0, 0)
 						continue
 					}
 				} else if err := c.nodes[id].ExpectMigration(s.j.ID, demand); err == nil {
-					c.col.DegradedAdmits++
 					c.emit(obs.KindDegrade, id, s.j.ID, -1, 0, 0)
 					_ = c.board.NotePlacement(id, demand)
 					c.startTransfer(s.j, id, demand, s.cost, s.special, 1)
@@ -1413,7 +1402,6 @@ func (c *Cluster) degradePending(now time.Duration) {
 		}
 		if id, ok := c.degradeTarget(p.home); ok {
 			if err := c.nodes[id].Admit(p.j, now); err == nil {
-				c.col.DegradedAdmits++
 				c.emit(obs.KindDegrade, id, p.j.ID, -1, 0, 0)
 				_ = c.board.NotePlacement(id, p.j.MemoryDemandMB())
 				continue

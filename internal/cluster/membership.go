@@ -96,7 +96,11 @@ func (a *AutoscaleConfig) validate(initialNodes int) error {
 // AddNode admits a new workstation at runtime: it gets the next node ID,
 // joins the board (and the fault injector's schedule when one is armed)
 // immediately, and is eligible for placements from the current instant.
-func (c *Cluster) AddNode(nc node.Config) (int, error) {
+func (c *Cluster) AddNode(nc node.Config) (int, error) { return c.addNode(nc, 0) }
+
+// addNode is AddNode with the join event's flags (FlagAutoscale for the
+// autoscaler's decisions).
+func (c *Cluster) addNode(nc node.Config, flags uint8) (int, error) {
 	id := len(c.nodes)
 	nc.ID = id
 	n, err := node.New(nc)
@@ -119,8 +123,7 @@ func (c *Cluster) AddNode(nc node.Config) (int, error) {
 			return -1, err
 		}
 	}
-	c.col.NodesJoined++
-	c.emit(obs.KindNodeJoin, id, -1, c.board.Live(), 0, 0)
+	c.emit(obs.KindNodeJoin, id, -1, c.board.Live(), 0, flags)
 	return id, nil
 }
 
@@ -128,7 +131,11 @@ func (c *Cluster) AddNode(nc node.Config) (int, error) {
 // from this instant (the board entry is updated immediately, not at the
 // next refresh), resident jobs are migrated out over the following control
 // periods, and the workstation is retired once empty.
-func (c *Cluster) Drain(id int) error {
+func (c *Cluster) Drain(id int) error { return c.drain(id, 0) }
+
+// drain is Drain with the drain event's flags (FlagAutoscale for the
+// autoscaler's decisions).
+func (c *Cluster) drain(id int, flags uint8) error {
 	n, err := c.Node(id)
 	if err != nil {
 		return err
@@ -142,8 +149,7 @@ func (c *Cluster) Drain(id int) error {
 	if _, ok := c.drainAt[id]; !ok {
 		c.drainAt[id] = c.engine.Now()
 	}
-	c.col.NodesDrained++
-	c.emit(obs.KindNodeDrain, id, -1, n.NumJobs(), 0, 0)
+	c.emit(obs.KindNodeDrain, id, -1, n.NumJobs(), 0, flags)
 	return c.board.Publish(id, entryFor(n, c.engine.Now()))
 }
 
@@ -166,7 +172,6 @@ func (c *Cluster) Remove(id int) error {
 	}
 	delete(c.drainAt, id)
 	c.removedAt[id] = c.engine.Now()
-	c.col.NodesRemoved++
 	c.emit(obs.KindNodeRemove, id, -1, c.board.Live(), 0, 0)
 	return nil
 }
@@ -234,12 +239,11 @@ func (c *Cluster) processDrains(now time.Duration) error {
 			continue
 		}
 		if !n.Down() {
-			degrade := false
-			if limit, ok := c.degradeLimit(); ok {
-				degrade = now-c.drainAt[id] > limit
-			} else {
-				degrade = now-c.drainAt[id] > DefaultAutoscaleCooldown
+			limit, ok := c.degradeLimit()
+			if !ok {
+				limit = DefaultAutoscaleCooldown
 			}
+			degrade := now-c.drainAt[id] > limit
 			for _, j := range n.Jobs() {
 				if j.State() != job.StateRunning {
 					continue
@@ -252,9 +256,7 @@ func (c *Cluster) processDrains(now time.Duration) error {
 				if !ok || dst == id {
 					continue
 				}
-				if err := c.Migrate(j, dst, false); err == nil {
-					c.col.DrainMigrations++
-				}
+				_ = c.migrate(j, dst, obs.FlagDrain)
 			}
 		}
 		if n.NumJobs() == 0 && n.ExpectedCount() == 0 && !n.Reserved() {
@@ -296,16 +298,14 @@ func (c *Cluster) autoscaleTick(now time.Duration) error {
 	util := float64(busy+len(c.pending)) / float64(slots)
 	switch {
 	case util > as.HighUtil && live < as.MaxNodes:
-		if _, err := c.AddNode(as.Proto); err != nil {
+		if _, err := c.addNode(as.Proto, obs.FlagAutoscale); err != nil {
 			return err
 		}
-		c.col.AutoscaleUps++
 		c.scaledAt = now
 	case util < as.LowUtil && live > as.MinNodes && last >= 0:
-		if err := c.Drain(last); err != nil {
+		if err := c.drain(last, obs.FlagAutoscale); err != nil {
 			return err
 		}
-		c.col.AutoscaleDowns++
 		c.scaledAt = now
 	}
 	return nil

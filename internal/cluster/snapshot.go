@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"time"
 
 	"vrcluster/internal/faults"
@@ -48,7 +49,7 @@ type Snapshot struct {
 	board     *loadinfo.Snapshot
 	link      *netlink.Snapshot // nil when SharedNetwork is off
 	injector  *faults.Snapshot  // nil when no fault plan is active
-	collector *metrics.CollectorSnapshot
+	collector *metrics.Collector
 	tracer    *obs.TracerSnapshot // nil when tracing is off
 
 	sched      Scheduler
@@ -83,7 +84,7 @@ type Snapshot struct {
 }
 
 // Snapshot captures the cluster's complete mutable state. It is valid only
-// on an armed run (after Start, before finish) that has not failed, and is
+// on an armed run (after Start, before Finish) that has not failed, and is
 // not supported while the kernel-style recorder is active — the recorder's
 // per-interval log has no rewind path, and fork drivers never record.
 func (c *Cluster) Snapshot() (*Snapshot, error) {
@@ -102,14 +103,14 @@ func (c *Cluster) Snapshot() (*Snapshot, error) {
 		jobs:      append([]*job.Job(nil), c.ranJobs...),
 		jobState:  make([]job.Snapshot, len(c.ranJobs)),
 		board:     c.board.Snapshot(),
-		collector: c.col.Snapshot(),
+		collector: c.col.Clone(),
 		sched:     c.sched,
 		pending:   append([]pendingSubmission(nil), c.pending...),
 		stranded:  append([]strandedMigration(nil), c.stranded...),
 		wire:      make([]savedWire, 0, len(c.wire)),
-		homes:     make(map[int]int, len(c.homes)),
-		drainAt:   make(map[int]time.Duration, len(c.drainAt)),
-		removedAt: make(map[int]time.Duration, len(c.removedAt)),
+		homes:     maps.Clone(c.homes),
+		drainAt:   maps.Clone(c.drainAt),
+		removedAt: maps.Clone(c.removedAt),
 		active:    append([]uint64(nil), c.active...),
 		pressured: append([]uint64(nil), c.pressured...),
 
@@ -146,15 +147,6 @@ func (c *Cluster) Snapshot() (*Snapshot, error) {
 	}
 	for _, t := range c.wire {
 		s.wire = append(s.wire, savedWire{ptr: t, value: *t})
-	}
-	for id, home := range c.homes {
-		s.homes[id] = home
-	}
-	for id, at := range c.drainAt {
-		s.drainAt[id] = at
-	}
-	for id, at := range c.removedAt {
-		s.removedAt[id] = at
 	}
 	if c.auditor != nil {
 		s.auditChecks = c.auditor.Checks()
@@ -213,17 +205,11 @@ func (c *Cluster) Restore(s *Snapshot) error {
 		c.wire[w.value.j.ID] = w.ptr
 	}
 	clear(c.homes)
-	for id, home := range s.homes {
-		c.homes[id] = home
-	}
+	maps.Copy(c.homes, s.homes)
 	clear(c.drainAt)
-	for id, at := range s.drainAt {
-		c.drainAt[id] = at
-	}
+	maps.Copy(c.drainAt, s.drainAt)
 	clear(c.removedAt)
-	for id, at := range s.removedAt {
-		c.removedAt[id] = at
-	}
+	maps.Copy(c.removedAt, s.removedAt)
 
 	c.active = append(c.active[:0], s.active...)
 	c.pressured = append(c.pressured[:0], s.pressured...)

@@ -286,7 +286,6 @@ func (m *Manager) OnBlocked(c *cluster.Cluster, now time.Duration, src *node.Nod
 	}
 	if len(m.reserving)+len(m.reserved) >= m.opts.MaxReserved {
 		m.stats.CapReached++
-		c.Collector().DegradedLocal++
 		return
 	}
 	// Activation condition: the accumulated idle memory space in the
@@ -296,13 +295,11 @@ func (m *Manager) OnBlocked(c *cluster.Cluster, now time.Duration, src *node.Nod
 	board := c.Board()
 	if board.AccumulatedIdleMB(false) <= board.MeanUserMB() {
 		m.stats.IdleBelowMean++
-		c.Collector().DegradedLocal++
 		return
 	}
 	id, ok := board.ReservationCandidate(nil)
 	if !ok {
 		m.stats.NoCandidate++
-		c.Collector().DegradedLocal++
 		return
 	}
 	n, err := c.Node(id)
@@ -312,13 +309,18 @@ func (m *Manager) OnBlocked(c *cluster.Cluster, now time.Duration, src *node.Nod
 	n.SetReserved(true)
 	m.reserving[id] = &reservingState{since: now, neededMB: victim.MemoryDemandMB()}
 	m.stats.Started++
-	c.Collector().Reservations++
-	c.Tracer().Emit(obs.Event{At: now, Kind: obs.KindReserveAcquire,
+	c.Emit(obs.Event{At: now, Kind: obs.KindReserveAcquire,
 		Node: int32(id), Job: int32(victim.ID), Aux: -1, Val: victim.MemoryDemandMB()})
 }
 
 // Stats returns the manager's attempt counters.
 func (m *Manager) Stats() Stats { return m.stats }
+
+// refusals counts the blocked jobs refused a reservation so far: they stay
+// on their pressured workstations and page locally.
+func (m *Manager) refusals() int {
+	return m.stats.CapReached + m.stats.IdleBelowMean + m.stats.NoCandidate
+}
 
 // sortedIDs returns a map's workstation IDs in ascending order. The
 // manager's per-node state lives in maps, but decision loops with side
@@ -342,7 +344,7 @@ func sortedIDs[V any](dst []int, m map[int]V) []int {
 // page-faulting job in.
 func (m *Manager) OnControl(c *cluster.Cluster, now time.Duration) {
 	if tr := c.Tracer(); tr.Enabled() {
-		m.trackEpisode(tr, m.blockingExists(c), now)
+		m.trackEpisode(c, m.blockingExists(c), now)
 		if s := tr.Metrics(); s != nil {
 			s.SetReconfigStats(obs.ReconfigStats{
 				BlockedEvents:   int64(m.stats.BlockedEvents),
@@ -374,13 +376,9 @@ func (m *Manager) OnControl(c *cluster.Cluster, now time.Duration) {
 			// cleared its reserved flag); break the lease and move
 			// the drain to the next candidate.
 			m.stats.CrashBroken++
-			c.Collector().LeaseExpiries++
-			if now > st.since {
-				c.Collector().ReservationTime += now - st.since
-			}
-			c.Tracer().Emit(obs.Event{At: now, Kind: obs.KindLeaseExpire, Flags: obs.FlagCrash,
+			c.Emit(obs.Event{At: now, Kind: obs.KindLeaseExpire, Flags: obs.FlagCrash,
 				Node: int32(id), Job: -1, Aux: -1})
-			c.Tracer().Emit(obs.Event{At: now, Kind: obs.KindReserveRelease, Flags: obs.FlagCrash,
+			c.Emit(obs.Event{At: now, Kind: obs.KindReserveRelease, Flags: obs.FlagCrash,
 				Node: int32(id), Job: -1, Aux: -1, Val: (now - st.since).Seconds()})
 			delete(m.reserving, id)
 			m.reselect(c, now, id, st.neededMB)
@@ -391,8 +389,7 @@ func (m *Manager) OnControl(c *cluster.Cluster, now time.Duration) {
 			// crash the reserved flag is still set, so give it back
 			// properly, then restart the drain on the next candidate.
 			m.stats.DrainBroken++
-			c.Collector().LeaseExpiries++
-			c.Tracer().Emit(obs.Event{At: now, Kind: obs.KindLeaseExpire, Flags: obs.FlagDrain,
+			c.Emit(obs.Event{At: now, Kind: obs.KindLeaseExpire, Flags: obs.FlagDrain,
 				Node: int32(id), Job: -1, Aux: -1})
 			m.release(c, n, st.since, now)
 			delete(m.reserving, id)
@@ -417,8 +414,7 @@ func (m *Manager) OnControl(c *cluster.Cluster, now time.Duration) {
 			delete(m.reserving, id)
 			if m.opts.Lease > 0 {
 				m.stats.LeaseExpired++
-				c.Collector().LeaseExpiries++
-				c.Tracer().Emit(obs.Event{At: now, Kind: obs.KindLeaseExpire,
+				c.Emit(obs.Event{At: now, Kind: obs.KindLeaseExpire,
 					Node: int32(id), Job: -1, Aux: -1})
 				m.reselect(c, now, id, st.neededMB)
 			}
@@ -438,7 +434,7 @@ func (m *Manager) OnControl(c *cluster.Cluster, now time.Duration) {
 			continue
 		}
 		delete(m.reserving, id)
-		c.Tracer().Emit(obs.Event{At: now, Kind: obs.KindReservePromote,
+		c.Emit(obs.Event{At: now, Kind: obs.KindReservePromote,
 			Node: int32(id), Job: -1, Aux: int32(len(victims))})
 		arrivals := make([]time.Duration, len(victims))
 		for i := range arrivals {
@@ -464,8 +460,7 @@ func (m *Manager) OnControl(c *cluster.Cluster, now time.Duration) {
 		}
 		if n.Down() {
 			m.stats.CrashBroken++
-			c.Collector().LeaseExpiries++
-			c.Tracer().Emit(obs.Event{At: now, Kind: obs.KindLeaseExpire, Flags: obs.FlagCrash,
+			c.Emit(obs.Event{At: now, Kind: obs.KindLeaseExpire, Flags: obs.FlagCrash,
 				Node: int32(id), Job: -1, Aux: -1})
 			m.finishReserved(c, n, rs, now)
 			delete(m.reserved, id)
@@ -476,8 +471,7 @@ func (m *Manager) OnControl(c *cluster.Cluster, now time.Duration) {
 			// its assigned jobs will be migrated out by the drain. Close
 			// the record and give the reservation back.
 			m.stats.DrainBroken++
-			c.Collector().LeaseExpiries++
-			c.Tracer().Emit(obs.Event{At: now, Kind: obs.KindLeaseExpire, Flags: obs.FlagDrain,
+			c.Emit(obs.Event{At: now, Kind: obs.KindLeaseExpire, Flags: obs.FlagDrain,
 				Node: int32(id), Job: -1, Aux: -1})
 			m.finishReserved(c, n, rs, now)
 			delete(m.reserved, id)
@@ -509,10 +503,9 @@ func (m *Manager) reselect(c *cluster.Cluster, now time.Duration, exclude int, n
 	n.SetReserved(true)
 	m.reserving[id] = &reservingState{since: now, neededMB: neededMB}
 	m.stats.LeaseReselected++
-	c.Collector().LeaseReselections++
-	c.Tracer().Emit(obs.Event{At: now, Kind: obs.KindLeaseReselect,
+	c.Emit(obs.Event{At: now, Kind: obs.KindLeaseReselect,
 		Node: int32(id), Job: -1, Aux: int32(exclude), Val: neededMB})
-	c.Tracer().Emit(obs.Event{At: now, Kind: obs.KindReserveAcquire,
+	c.Emit(obs.Event{At: now, Kind: obs.KindReserveAcquire,
 		Node: int32(id), Job: -1, Aux: int32(exclude), Val: neededMB})
 }
 
@@ -559,10 +552,7 @@ func (m *Manager) Records() []ReservationRecord {
 func (m *Manager) release(c *cluster.Cluster, n *node.Node, since, now time.Duration) {
 	n.SetReserved(false)
 	n.Memory().SetRemoteBacking(0)
-	if now > since {
-		c.Collector().ReservationTime += now - since
-	}
-	c.Tracer().Emit(obs.Event{At: now, Kind: obs.KindReserveRelease,
+	c.Emit(obs.Event{At: now, Kind: obs.KindReserveRelease,
 		Node: int32(n.ID()), Job: -1, Aux: -1, Val: (now - since).Seconds()})
 }
 
@@ -572,17 +562,17 @@ func (m *Manager) release(c *cluster.Cluster, n *node.Node, since, now time.Dura
 // only while a tracer is installed, recomputing the same side-effect-free
 // predicate the reservation logic uses, so tracing never perturbs the
 // schedule.
-func (m *Manager) trackEpisode(tr *obs.Tracer, blocked bool, now time.Duration) {
+func (m *Manager) trackEpisode(c *cluster.Cluster, blocked bool, now time.Duration) {
 	if blocked == m.episodeOpen {
 		return
 	}
 	if blocked {
 		m.episodeOpen, m.episodeSince = true, now
-		tr.Emit(obs.Event{At: now, Kind: obs.KindEpisodeOpen, Node: -1, Job: -1, Aux: -1})
+		c.Emit(obs.Event{At: now, Kind: obs.KindEpisodeOpen, Node: -1, Job: -1, Aux: -1})
 		return
 	}
 	m.episodeOpen = false
-	tr.Emit(obs.Event{At: now, Kind: obs.KindEpisodeClose,
+	c.Emit(obs.Event{At: now, Kind: obs.KindEpisodeClose,
 		Node: -1, Job: -1, Aux: -1, Val: (now - m.episodeSince).Seconds()})
 }
 

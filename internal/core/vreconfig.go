@@ -6,6 +6,7 @@ import (
 	"vrcluster/internal/cluster"
 	"vrcluster/internal/job"
 	"vrcluster/internal/node"
+	"vrcluster/internal/obs"
 	"vrcluster/internal/policy"
 )
 
@@ -51,9 +52,16 @@ func (v *VReconfiguration) Place(c *cluster.Cluster, j *job.Job, home int) (int,
 }
 
 // OnControl runs the load-sharing control loop (whose blocking events feed
-// the manager) and then advances reservations.
+// the manager) and then advances reservations. The blocked jobs the manager
+// refused a reservation during the loop are reported as one tally event,
+// flushed within this control tick so a fork snapshot never holds a
+// partial count.
 func (v *VReconfiguration) OnControl(c *cluster.Cluster, now time.Duration) {
+	refused := v.mgr.refusals()
 	v.gls.OnControl(c, now)
+	if n := v.mgr.refusals() - refused; n > 0 {
+		c.Emit(obs.Event{At: now, Kind: obs.KindReserveRefused, Node: -1, Job: -1, Aux: int32(n)})
+	}
 	v.mgr.OnControl(c, now)
 }
 

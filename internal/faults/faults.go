@@ -225,12 +225,15 @@ func (p Plan) Backoff(attempt int) time.Duration {
 // *when* a workstation fails, recovers, or loses its network; the cluster
 // decides what that does to jobs, reservations, and metrics. The partition
 // hooks receive the domain index and its member node IDs in ascending
-// order.
+// order. Emit receives the injector's crash, repair, outage and restore
+// events, each just before the hook it precedes, so the fault precedes its
+// consequences in the trace; the cluster counts and forwards them.
 type Hooks struct {
 	Crash          func(nodeID int)
 	Recover        func(nodeID int)
 	PartitionStart func(domain int, members []int)
 	PartitionEnd   func(domain int, members []int)
+	Emit           func(ev obs.Event)
 }
 
 // downOwner records which fault dimension took a workstation down, so
@@ -271,14 +274,16 @@ type Injector struct {
 	partitioned []bool      // per-domain partition state
 
 	started bool
-
-	tr *obs.Tracer // nil when tracing is off
 }
 
-// SetTracer installs the structured event sink; the injector then emits
-// crash/repair events just before invoking the cluster hooks, so the
-// fault precedes its consequences in the trace.
-func (in *Injector) SetTracer(tr *obs.Tracer) { in.tr = tr }
+// emit reports one fault event at the current instant through the Emit
+// hook, if any.
+func (in *Injector) emit(ev obs.Event) {
+	if in.hooks.Emit != nil {
+		ev.At = in.engine.Now()
+		in.hooks.Emit(ev)
+	}
+}
 
 // stream derives an independent deterministic random stream from the plan
 // seed, a dimension salt, and a node index (SplitMix64-style mixing). The
@@ -439,14 +444,7 @@ func (in *Injector) armCrash(id int) {
 		// the node's stream, but only the dimension that actually crashed
 		// the node emits the event and fires the hook.
 		if in.downBy[id] == ownerNone {
-			in.downBy[id] = ownerChain
-			if in.tr != nil {
-				in.tr.Emit(obs.Event{At: in.engine.Now(), Kind: obs.KindNodeCrash,
-					Node: int32(id), Job: -1, Aux: -1})
-			}
-			if in.hooks.Crash != nil {
-				in.hooks.Crash(id)
-			}
+			in.crash(id, ownerChain, -1)
 		}
 		in.armRecover(id)
 	})
@@ -459,14 +457,7 @@ func (in *Injector) armRecover(id int) {
 			return
 		}
 		if in.downBy[id] == ownerChain {
-			in.downBy[id] = ownerNone
-			if in.tr != nil {
-				in.tr.Emit(obs.Event{At: in.engine.Now(), Kind: obs.KindNodeRepair,
-					Node: int32(id), Job: -1, Aux: -1})
-			}
-			if in.hooks.Recover != nil {
-				in.hooks.Recover(id)
-			}
+			in.repair(id, -1)
 		}
 		in.armCrash(id)
 	})
@@ -479,21 +470,10 @@ func (in *Injector) armDomainCrash(d int) {
 	wait := time.Duration(in.domainRNG[d].ExpFloat64() * float64(in.plan.DomainMTBF))
 	in.engine.After(wait, func() {
 		members := in.members(d)
-		if in.tr != nil {
-			in.tr.Emit(obs.Event{At: in.engine.Now(), Kind: obs.KindDomainOutage,
-				Node: -1, Job: -1, Aux: int32(d), Val: float64(len(members))})
-		}
+		in.emit(obs.Event{Kind: obs.KindDomainOutage, Node: -1, Job: -1, Aux: int32(d), Val: float64(len(members))})
 		for _, id := range members {
-			if in.downBy[id] != ownerNone {
-				continue
-			}
-			in.downBy[id] = ownerDomain
-			if in.tr != nil {
-				in.tr.Emit(obs.Event{At: in.engine.Now(), Kind: obs.KindNodeCrash,
-					Node: int32(id), Job: -1, Aux: int32(d)})
-			}
-			if in.hooks.Crash != nil {
-				in.hooks.Crash(id)
+			if in.downBy[id] == ownerNone {
+				in.crash(id, ownerDomain, int32(d))
 			}
 		}
 		in.armDomainRepair(d)
@@ -507,25 +487,34 @@ func (in *Injector) armDomainRepair(d int) {
 	wait := time.Duration(in.domainRNG[d].ExpFloat64() * float64(in.plan.DomainMTTR))
 	in.engine.After(wait, func() {
 		members := in.members(d)
-		if in.tr != nil {
-			in.tr.Emit(obs.Event{At: in.engine.Now(), Kind: obs.KindDomainRestore,
-				Node: -1, Job: -1, Aux: int32(d), Val: float64(len(members))})
-		}
+		in.emit(obs.Event{Kind: obs.KindDomainRestore, Node: -1, Job: -1, Aux: int32(d), Val: float64(len(members))})
 		for _, id := range members {
-			if in.downBy[id] != ownerDomain {
-				continue
-			}
-			in.downBy[id] = ownerNone
-			if in.tr != nil {
-				in.tr.Emit(obs.Event{At: in.engine.Now(), Kind: obs.KindNodeRepair,
-					Node: int32(id), Job: -1, Aux: int32(d)})
-			}
-			if in.hooks.Recover != nil {
-				in.hooks.Recover(id)
+			if in.downBy[id] == ownerDomain {
+				in.repair(id, int32(d))
 			}
 		}
 		in.armDomainCrash(d)
 	})
+}
+
+// crash takes workstation id down on behalf of owner: the event first,
+// then the hook, so the fault precedes its consequences in the trace. aux
+// is the crashing domain, or -1 for the node's own chain.
+func (in *Injector) crash(id int, owner downOwner, aux int32) {
+	in.downBy[id] = owner
+	in.emit(obs.Event{Kind: obs.KindNodeCrash, Node: int32(id), Job: -1, Aux: aux})
+	if in.hooks.Crash != nil {
+		in.hooks.Crash(id)
+	}
+}
+
+// repair brings workstation id back up, event before hook as in crash.
+func (in *Injector) repair(id int, aux int32) {
+	in.downBy[id] = ownerNone
+	in.emit(obs.Event{Kind: obs.KindNodeRepair, Node: int32(id), Job: -1, Aux: aux})
+	if in.hooks.Recover != nil {
+		in.hooks.Recover(id)
+	}
 }
 
 // armPartition schedules domain d's next network partition: the domain
@@ -536,22 +525,18 @@ func (in *Injector) armPartition(d int) {
 	in.engine.After(wait, func() {
 		members := in.members(d)
 		in.partitioned[d] = true
-		if in.tr != nil {
-			in.tr.Emit(obs.Event{At: in.engine.Now(), Kind: obs.KindDomainOutage,
-				Flags: obs.FlagPartition, Node: -1, Job: -1,
-				Aux: int32(d), Val: float64(len(members))})
-		}
+		in.emit(obs.Event{Kind: obs.KindDomainOutage,
+			Flags: obs.FlagPartition, Node: -1, Job: -1,
+			Aux: int32(d), Val: float64(len(members))})
 		if in.hooks.PartitionStart != nil {
 			in.hooks.PartitionStart(d, members)
 		}
 		heal := time.Duration(in.partRNG[d].ExpFloat64() * float64(in.plan.PartitionMTTR))
 		in.engine.After(heal, func() {
 			in.partitioned[d] = false
-			if in.tr != nil {
-				in.tr.Emit(obs.Event{At: in.engine.Now(), Kind: obs.KindDomainRestore,
-					Flags: obs.FlagPartition, Node: -1, Job: -1,
-					Aux: int32(d), Val: float64(len(in.members(d)))})
-			}
+			in.emit(obs.Event{Kind: obs.KindDomainRestore,
+				Flags: obs.FlagPartition, Node: -1, Job: -1,
+				Aux: int32(d), Val: float64(len(in.members(d)))})
 			if in.hooks.PartitionEnd != nil {
 				in.hooks.PartitionEnd(d, in.members(d))
 			}

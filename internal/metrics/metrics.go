@@ -10,10 +10,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"time"
 
 	"vrcluster/internal/job"
 	"vrcluster/internal/node"
+	"vrcluster/internal/obs"
 	"vrcluster/internal/stats"
 )
 
@@ -27,27 +30,27 @@ type Sample struct {
 	Reserved int     // workstations under reservation
 }
 
-// Collector accumulates samples and event counters during a run.
-type Collector struct {
-	interval time.Duration
-	samples  []Sample
-	scratch  []float64 // Observe's per-sample job-count buffer, reused across ticks
-
-	// Event counters maintained by the cluster and policies.
-	BlockingEpisodes  int
+// Counters are a run's decision counts. They are a fold of the scheduler
+// event stream: Count is the only code that writes them, except
+// PendingPeak (see its comment).
+type Counters struct {
+	BlockingEpisodes  int // pressured workstations that found no migration destination, summed over control passes
 	Reservations      int
 	ReservationTime   time.Duration
 	ReservedMigration int // jobs migrated into reserved workstations
 	Migrations        int
 	RemoteSubmissions int
 	FailedLandings    int
-	PendingPeak       int
-	Suspensions       int
+	// PendingPeak is a gauge, not a count of events: the cluster samples
+	// the blocked-submission queue at each control tick and keeps the
+	// maximum, so it is the one field assigned outside Count.
+	PendingPeak int
+	Suspensions int
 
 	// Fault-injection and self-healing counters (internal/faults).
 	NodeCrashes       int // workstation failures injected
 	NodeRecoveries    int // workstation repairs
-	JobsKilled        int // jobs lost to crashes under the kill policy
+	JobsKilled        int `json:"-"` // jobs lost to crashes under the kill policy; Result reports Killed
 	JobsRequeued      int // jobs resubmitted after crashes
 	RefreshDrops      int // load-information exchanges lost (stale vectors)
 	MigrationAborts   int // transfer attempts that died on the wire
@@ -66,6 +69,91 @@ type Collector struct {
 	DomainPartitions int // domain-wide network partitions injected
 	AutoscaleUps     int // autoscaler join decisions
 	AutoscaleDowns   int // autoscaler drain decisions
+}
+
+// Count folds one scheduler event into the counters. Kinds that report no
+// decision (samples, admissions, wire transfers, spans) move nothing;
+// tally kinds add their Aux. A reserve-acquire whose Aux names the
+// excluded workstation is a lease reselection, which LeaseReselections
+// counts, so only acquires with a negative Aux are new Reservations.
+func (c *Counters) Count(ev obs.Event) {
+	switch ev.Kind {
+	case obs.KindNoDestination:
+		c.BlockingEpisodes += int(ev.Aux)
+	case obs.KindReserveAcquire:
+		if ev.Aux < 0 {
+			c.Reservations++
+		}
+	case obs.KindReserveRelease:
+		// Val holds the hold in seconds; rounding back to nanoseconds
+		// is exact for every duration below MaxVirtualTime.
+		if ev.Val > 0 {
+			c.ReservationTime += time.Duration(math.Round(ev.Val * 1e9))
+		}
+	case obs.KindMigrationStart:
+		c.Migrations++
+		if ev.Flags&obs.FlagSpecial != 0 {
+			c.ReservedMigration++
+		}
+		if ev.Flags&obs.FlagDrain != 0 {
+			c.DrainMigrations++
+		}
+	case obs.KindRemoteSubmit:
+		c.RemoteSubmissions++
+	case obs.KindLandingFail:
+		c.FailedLandings++
+	case obs.KindJobSuspend:
+		c.Suspensions++
+	case obs.KindNodeCrash:
+		c.NodeCrashes++
+	case obs.KindNodeRepair:
+		c.NodeRecoveries++
+	case obs.KindJobKill:
+		c.JobsKilled++
+	case obs.KindJobRequeue:
+		c.JobsRequeued++
+	case obs.KindRefreshDrop:
+		c.RefreshDrops += int(ev.Aux)
+	case obs.KindMigrationAbort:
+		c.MigrationAborts++
+	case obs.KindMigrationRetry:
+		c.MigrationRetries++
+	case obs.KindMigrationGiveUp:
+		c.MigrationGiveUps++
+	case obs.KindLeaseExpire:
+		c.LeaseExpiries++
+	case obs.KindLeaseReselect:
+		c.LeaseReselections++
+	case obs.KindReserveRefused:
+		c.DegradedLocal += int(ev.Aux)
+	case obs.KindDegrade:
+		c.DegradedAdmits++
+	case obs.KindNodeJoin:
+		c.NodesJoined++
+		if ev.Flags&obs.FlagAutoscale != 0 {
+			c.AutoscaleUps++
+		}
+	case obs.KindNodeDrain:
+		c.NodesDrained++
+		if ev.Flags&obs.FlagAutoscale != 0 {
+			c.AutoscaleDowns++
+		}
+	case obs.KindNodeRemove:
+		c.NodesRemoved++
+	case obs.KindDomainOutage:
+		if ev.Flags&obs.FlagPartition != 0 {
+			c.DomainPartitions++
+		}
+	}
+}
+
+// Collector accumulates samples and event counters during a run.
+type Collector struct {
+	interval time.Duration
+	samples  []Sample
+	scratch  []float64 // Observe's per-sample job-count buffer, reused across ticks
+
+	Counters
 }
 
 // DefaultSampleInterval matches the paper's 1-second collection of idle
@@ -112,33 +200,19 @@ func (c *Collector) Observe(now time.Duration, nodes []*node.Node, pending int) 
 	c.scratch = counts[:0]
 }
 
-// Snapshot captures the collector's counters and sample series for cluster
-// forking.
-type CollectorSnapshot struct {
-	state   Collector // shallow copy carrying every counter field
-	samples []Sample
-}
-
-// Snapshot captures the collector's state.
-func (c *Collector) Snapshot() *CollectorSnapshot {
-	return &CollectorSnapshot{
-		state:   *c,
-		samples: append([]Sample(nil), c.samples...),
-	}
-}
-
-// Restore rewinds the collector to a prior Snapshot, reusing the live
-// sample slice's capacity.
-func (c *Collector) Restore(s *CollectorSnapshot) {
+// Restore rewinds the collector to a Clone taken earlier (a cluster fork
+// snapshot), reusing the live sample slice's capacity.
+func (c *Collector) Restore(s *Collector) {
 	samples, scratch := c.samples, c.scratch
-	*c = s.state
+	*c = *s
 	c.samples = append(samples[:0], s.samples...)
 	c.scratch = scratch
 }
 
-// Clone returns an independent deep copy. Forked runs freeze their result
-// against a clone so the shared live collector can be rewound and reused
-// without mutating earlier results.
+// Clone returns an independent deep copy: the counters and the sample
+// series. Cluster fork snapshots hold one, and forked runs freeze their
+// result against one so the shared live collector can be rewound and
+// reused without mutating earlier results.
 func (c *Collector) Clone() *Collector {
 	out := *c
 	out.samples = append([]Sample(nil), c.samples...)
@@ -162,11 +236,7 @@ func (c *Collector) WriteCSV(w io.Writer) error {
 }
 
 // Samples returns a copy of the recorded series.
-func (c *Collector) Samples() []Sample {
-	out := make([]Sample, len(c.samples))
-	copy(out, c.samples)
-	return out
-}
+func (c *Collector) Samples() []Sample { return slices.Clone(c.samples) }
 
 // AvgIdleMB averages the idle-memory series, subsampled at a multiple of
 // the base interval (every is rounded down to a whole number of base
@@ -228,35 +298,7 @@ type Result struct {
 	AvgIdleMB float64 // at the base 1 s interval
 	AvgSkew   float64
 
-	BlockingEpisodes  int
-	Reservations      int
-	ReservationTime   time.Duration
-	ReservedMigration int
-	Migrations        int
-	RemoteSubmissions int
-	FailedLandings    int
-	PendingPeak       int
-	Suspensions       int
-
-	NodeCrashes       int
-	NodeRecoveries    int
-	JobsRequeued      int
-	RefreshDrops      int
-	MigrationAborts   int
-	MigrationRetries  int
-	MigrationGiveUps  int
-	LeaseExpiries     int
-	LeaseReselections int
-	DegradedLocal     int
-	DegradedAdmits    int
-
-	NodesJoined      int
-	NodesDrained     int
-	NodesRemoved     int
-	DrainMigrations  int
-	DomainPartitions int
-	AutoscaleUps     int
-	AutoscaleDowns   int
+	Counters
 
 	collector *Collector
 }
@@ -328,33 +370,7 @@ func BuildResult(traceName, policy string, jobs []*job.Job, col *Collector) (*Re
 			return nil, err
 		}
 		r.AvgSkew = skew
-		r.BlockingEpisodes = col.BlockingEpisodes
-		r.Reservations = col.Reservations
-		r.ReservationTime = col.ReservationTime
-		r.ReservedMigration = col.ReservedMigration
-		r.Migrations = col.Migrations
-		r.RemoteSubmissions = col.RemoteSubmissions
-		r.FailedLandings = col.FailedLandings
-		r.PendingPeak = col.PendingPeak
-		r.Suspensions = col.Suspensions
-		r.NodeCrashes = col.NodeCrashes
-		r.NodeRecoveries = col.NodeRecoveries
-		r.JobsRequeued = col.JobsRequeued
-		r.RefreshDrops = col.RefreshDrops
-		r.MigrationAborts = col.MigrationAborts
-		r.MigrationRetries = col.MigrationRetries
-		r.MigrationGiveUps = col.MigrationGiveUps
-		r.LeaseExpiries = col.LeaseExpiries
-		r.LeaseReselections = col.LeaseReselections
-		r.DegradedLocal = col.DegradedLocal
-		r.DegradedAdmits = col.DegradedAdmits
-		r.NodesJoined = col.NodesJoined
-		r.NodesDrained = col.NodesDrained
-		r.NodesRemoved = col.NodesRemoved
-		r.DrainMigrations = col.DrainMigrations
-		r.DomainPartitions = col.DomainPartitions
-		r.AutoscaleUps = col.AutoscaleUps
-		r.AutoscaleDowns = col.AutoscaleDowns
+		r.Counters = col.Counters
 		if r.Killed != col.JobsKilled {
 			return nil, fmt.Errorf("metrics: %d killed jobs but %d kill events counted", r.Killed, col.JobsKilled)
 		}
@@ -399,9 +415,8 @@ func WriteJobsCSV(w io.Writer, jobs []*job.Job) error {
 	return nil
 }
 
-// Reduction reports the relative improvement of got over base for a metric
-// extracted by f: (base - got) / base. Positive values mean got is better
-// (smaller).
+// Reduction reports the relative improvement of got over base:
+// (base - got) / base. Positive values mean got is better (smaller).
 func Reduction(base, got float64) float64 {
 	if base == 0 {
 		return 0

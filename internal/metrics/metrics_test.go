@@ -10,6 +10,7 @@ import (
 	"vrcluster/internal/job"
 	"vrcluster/internal/memory"
 	"vrcluster/internal/node"
+	"vrcluster/internal/obs"
 )
 
 func buildNode(t *testing.T, id int, capacityMB float64) *node.Node {
@@ -155,8 +156,10 @@ func TestBuildResult(t *testing.T) {
 	}
 	n := buildNode(t, 0, 100)
 	c.Observe(time.Second, []*node.Node{n}, 0)
-	c.Migrations = 3
-	c.BlockingEpisodes = 2
+	for i := 0; i < 3; i++ {
+		c.Count(obs.Event{Kind: obs.KindMigrationStart})
+	}
+	c.Count(obs.Event{Kind: obs.KindNoDestination, Aux: 2})
 
 	jobs := []*job.Job{
 		doneJob(t, 1, 10*time.Second, 20*time.Second), // slowdown 2

@@ -7,6 +7,7 @@ package node
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"time"
@@ -666,16 +667,10 @@ func (n *Node) Snapshot() Snapshot {
 		ioStall:      n.ioStall,
 	}
 	if len(n.reservedJobs) > 0 {
-		s.reservedJobs = make(map[int]bool, len(n.reservedJobs))
-		for id := range n.reservedJobs {
-			s.reservedJobs[id] = true
-		}
+		s.reservedJobs = maps.Clone(n.reservedJobs)
 	}
 	if len(n.incoming) > 0 {
-		s.incoming = make(map[int]float64, len(n.incoming))
-		for id, d := range n.incoming {
-			s.incoming[id] = d
-		}
+		s.incoming = maps.Clone(n.incoming)
 	}
 	return s
 }
@@ -698,13 +693,9 @@ func (n *Node) Restore(s Snapshot) {
 	n.cpuDelivered = s.cpuDelivered
 	n.ioStall = s.ioStall
 	clear(n.reservedJobs)
-	for id := range s.reservedJobs {
-		n.reservedJobs[id] = true
-	}
+	maps.Copy(n.reservedJobs, s.reservedJobs)
 	clear(n.incoming)
-	for id, d := range s.incoming {
-		n.incoming[id] = d
-	}
+	maps.Copy(n.incoming, s.incoming)
 }
 
 // CompletionFloor reports a stretch length k ≤ kMax during which no

@@ -8,10 +8,11 @@
 // never allocates after construction, and with no sink installed every
 // emit site reduces to a nil check on the tracer pointer.
 //
-// The same event stream feeds all consumers: the JSONL exporter for
-// tooling (cmd/vrobs), the Chrome/Perfetto trace-event exporter for
-// per-node timelines, and the human-readable tail printed by
-// vrsim -events.
+// The same event stream feeds all consumers: the run counters of
+// metrics.Counters (folded from every event the cluster reports, traced or
+// not), the JSONL exporter for tooling (cmd/vrobs), the Chrome/Perfetto
+// trace-event exporter for per-node timelines, and the human-readable tail
+// printed by vrsim -events.
 package obs
 
 import (
@@ -74,6 +75,16 @@ const (
 	KindDomainOutage  // failure domain went dark (Node = -1, Aux = domain, Val = members; FlagPartition for partitions)
 	KindDomainRestore // failure domain came back (Node = -1, Aux = domain, Val = members; FlagPartition for partitions)
 
+	// Occurrences with no other event (policies and cluster).
+	KindJobSuspend  // blocked victim suspended on Node by the Suspension policy
+	KindLandingFail // migrated image could not land; job stranded (Aux = destination)
+
+	// Per-control-pass tallies: at most one each per control pass, only
+	// when non-zero, with Aux = occurrences that pass (Node = Job = -1).
+	KindNoDestination  // pressured workstations that found no migration destination (G-Loadsharing)
+	KindReserveRefused // blocked jobs refused a reservation and left paging locally (V-Reconfiguration)
+	KindRefreshDrop    // load-information exchanges lost to injected faults
+
 	kindCount // sentinel
 )
 
@@ -110,6 +121,11 @@ var kindNames = [kindCount]string{
 	KindNodeRemove:        "node-remove",
 	KindDomainOutage:      "domain-outage",
 	KindDomainRestore:     "domain-restore",
+	KindJobSuspend:        "job-suspend",
+	KindLandingFail:       "landing-fail",
+	KindNoDestination:     "no-destination",
+	KindReserveRefused:    "reserve-refused",
+	KindRefreshDrop:       "refresh-drop",
 }
 
 // String names the kind for exports and reports.
@@ -143,9 +159,13 @@ const (
 	// FlagPartition marks a domain outage as a network partition (board
 	// silence and transfer aborts) rather than a crash wave.
 	FlagPartition
-	// FlagDrain marks a lease expiry/release caused by a node drain, and a
-	// sampled node as draining (KindNodeSample).
+	// FlagDrain marks a lease expiry/release caused by a node drain, a
+	// migration that moves a job off a draining node, and a sampled node
+	// as draining (KindNodeSample).
 	FlagDrain
+	// FlagAutoscale marks a join or drain decided by the autoscaler
+	// rather than the membership script.
+	FlagAutoscale
 )
 
 // Event is one scheduler decision at a simulated instant. It is a compact
@@ -434,25 +454,12 @@ func ReservationSpans(events []Event) []Span {
 			}
 		}
 	}
-	for _, i := range sortedSpanIdx(open) {
+	// Every trailing open span ends at the last timestamp; the writes are
+	// independent, so map order cannot change the result.
+	for _, i := range open {
 		out[i].End = last
 	}
 	return out
-}
-
-// sortedSpanIdx returns open-span indices in ascending order so trailing
-// incomplete spans are finalized deterministically.
-func sortedSpanIdx(open map[int32]int) []int {
-	idx := make([]int, 0, len(open))
-	for _, i := range open {
-		idx = append(idx, i)
-	}
-	for a := 1; a < len(idx); a++ {
-		for b := a; b > 0 && idx[b] < idx[b-1]; b-- {
-			idx[b], idx[b-1] = idx[b-1], idx[b]
-		}
-	}
-	return idx
 }
 
 // Latency is one completed migration: the wall time between the migration

@@ -7,6 +7,7 @@ import (
 	"vrcluster/internal/job"
 	"vrcluster/internal/loadinfo"
 	"vrcluster/internal/node"
+	"vrcluster/internal/obs"
 )
 
 // NoSharing schedules every job on its home workstation, waiting for a job
@@ -186,6 +187,6 @@ func (s *Suspension) onBlocked(c *cluster.Cluster, now time.Duration, src *node.
 	if err := src.Detach(victim, now); err != nil {
 		return
 	}
-	c.Collector().Suspensions++
+	c.Emit(obs.Event{At: now, Kind: obs.KindJobSuspend, Node: int32(src.ID()), Job: int32(victim.ID), Aux: -1})
 	s.suspended = append(s.suspended, &suspendedJob{j: victim, since: now})
 }

@@ -18,12 +18,14 @@
 package policy
 
 import (
+	"maps"
 	"time"
 
 	"vrcluster/internal/cluster"
 	"vrcluster/internal/job"
 	"vrcluster/internal/loadinfo"
 	"vrcluster/internal/node"
+	"vrcluster/internal/obs"
 )
 
 // GLoadSharing is the dynamic load sharing baseline.
@@ -170,13 +172,15 @@ type placeMemo struct {
 // faults due to memory shortage are detected, the most memory-intensive
 // job is moved to a lightly loaded workstation with sufficient idle memory
 // and a free job slot, if one exists. When none exists, the blocking
-// problem has been detected and the OnBlocked hook fires.
+// problem has been detected and the OnBlocked hook fires. The pass's
+// no-destination hits are reported as one tally event at its end.
 func (g *GLoadSharing) OnControl(c *cluster.Cluster, now time.Duration) {
 	board := c.Board()
 	overcommit := g.PressureOvercommit
 	if overcommit < 1 {
 		overcommit = 1
 	}
+	noDest := 0
 	for _, n := range c.Nodes() {
 		if n.Reserved() || n.Memory().Overcommit() < overcommit {
 			continue
@@ -195,7 +199,7 @@ func (g *GLoadSharing) OnControl(c *cluster.Cluster, now time.Duration) {
 			}
 			id, ok := board.BestDestinationExcluding(victim.MemoryDemandMB(), n.ID())
 			if !ok {
-				c.Collector().BlockingEpisodes++
+				noDest++
 				if g.OnBlocked != nil {
 					g.OnBlocked(c, now, n, victim)
 				}
@@ -206,6 +210,9 @@ func (g *GLoadSharing) OnControl(c *cluster.Cluster, now time.Duration) {
 			}
 			g.lastMigration[n.ID()] = now
 		}
+	}
+	if noDest > 0 {
+		c.Emit(obs.Event{At: now, Kind: obs.KindNoDestination, Node: -1, Job: -1, Aux: int32(noDest)})
 	}
 }
 
@@ -241,18 +248,12 @@ type glsState struct {
 // SnapshotState captures the policy's mutable state (the per-node
 // migration cooldown clocks) for cluster forking.
 func (g *GLoadSharing) SnapshotState() any {
-	lm := make(map[int]time.Duration, len(g.lastMigration))
-	for id, t := range g.lastMigration {
-		lm[id] = t
-	}
-	return &glsState{lastMigration: lm}
+	return &glsState{lastMigration: maps.Clone(g.lastMigration)}
 }
 
 // RestoreState rewinds the policy to a state from SnapshotState.
 func (g *GLoadSharing) RestoreState(state any) {
 	s := state.(*glsState)
 	clear(g.lastMigration)
-	for id, t := range s.lastMigration {
-		g.lastMigration[id] = t
-	}
+	maps.Copy(g.lastMigration, s.lastMigration)
 }

@@ -1,6 +1,6 @@
 // Observability contract: the structured event trace is a pure function of
-// (trace, seed) — byte-identical at any fan-out width — and never disagrees
-// with the metrics collector about what happened. These tests pin the
+// (trace, seed) — byte-identical at any fan-out width — and is the stream
+// the metrics collector's counters are folded from. These tests pin the
 // acceptance criteria for the tracing layer end to end.
 package vrcluster_test
 
@@ -195,45 +195,6 @@ func TestPerfettoExportOfRealRun(t *testing.T) {
 		if d != 0 {
 			t.Fatalf("track %v left %d spans open", key, d)
 		}
-	}
-}
-
-// TestFaultCountersMatchTrace cross-checks the metrics collector against
-// the event stream under a seeded fault plan: each fault counter must
-// equal the number of corresponding events, because both are incremented
-// at the same sites.
-func TestFaultCountersMatchTrace(t *testing.T) {
-	plan := faults.Plan{
-		MTBF:      20 * time.Minute,
-		Crash:     faults.Requeue,
-		DropRate:  0.1,
-		AbortRate: 0.2,
-	}
-	events, res := tracedRun(t, workload.Group1, 2, plan)
-	counts := obs.CountByKind(events)
-
-	for _, tc := range []struct {
-		kind obs.Kind
-		got  int
-		name string
-	}{
-		{obs.KindNodeCrash, res.NodeCrashes, "NodeCrashes"},
-		{obs.KindNodeRepair, res.NodeRecoveries, "NodeRecoveries"},
-		{obs.KindMigrationAbort, res.MigrationAborts, "MigrationAborts"},
-		{obs.KindMigrationRetry, res.MigrationRetries, "MigrationRetries"},
-		{obs.KindMigrationGiveUp, res.MigrationGiveUps, "MigrationGiveUps"},
-		{obs.KindLeaseExpire, res.LeaseExpiries, "LeaseExpiries"},
-		{obs.KindLeaseReselect, res.LeaseReselections, "LeaseReselections"},
-	} {
-		if counts[tc.kind] != tc.got {
-			t.Errorf("%s: collector %d vs %d %v events", tc.name, tc.got, counts[tc.kind], tc.kind)
-		}
-	}
-	if res.NodeCrashes == 0 {
-		t.Error("fault plan injected no crashes; cross-check is vacuous")
-	}
-	if res.MigrationAborts == 0 {
-		t.Error("fault plan aborted no migrations; cross-check is vacuous")
 	}
 }
 
